@@ -25,7 +25,6 @@ from .embedding import (
     ExternalVectorProvider,
     RankingDelta,
     cosine,
-    embed_text,
     rank_references,
 )
 from .errors import (
@@ -38,7 +37,6 @@ from .errors import (
 from .evaluation import (
     AbstractOutcome,
     EvalReport,
-    LengthBucketRow,
     aggregate,
     length_buckets,
     score_abstract,
@@ -76,7 +74,6 @@ __all__ = [
     "EvaluationError",
     "ExternalVectorProvider",
     "LabeledAbstract",
-    "LengthBucketRow",
     "REM_LABEL",
     "RankingDelta",
     "Span",
@@ -87,7 +84,6 @@ __all__ = [
     "compute_stats",
     "cosine",
     "detect",
-    "embed_text",
     "ensure_finalized",
     "filter_spans",
     "length_buckets",

@@ -12,6 +12,7 @@ environment variable or the ``--rules`` flag.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,13 +30,13 @@ from .embedding import BuiltinProvider, ExternalVectorProvider, rank_references
 from .errors import CorpusError, DeclutterError
 from .evaluation import (
     EvalReport,
-    LengthBucketRow,
     aggregate,
     length_buckets,
     score_abstract,
     token_prf,
 )
-from .textspan import clean_text, filter_spans, tokenize
+# tokenize is unused here; perfbench/tracer.py wraps declutter.cli.tokenize.
+from .textspan import clean_text, filter_spans, tokenize  # noqa: F401
 
 RULES_ENV_VAR = "DECLUTTER_RULES"
 
@@ -107,37 +108,6 @@ def _format_report_table(title: str, rows: list[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def _format_length_table(rows: list[LengthBucketRow]) -> str:
-    lines = [
-        "length buckets (tokens):",
-        f"  {'bucket':<12}{'Count':>8}"
-        f"{'Excess share':>14}{'# tokens':>10}{'Missing share':>15}{'# tokens':>10}",
-    ]
-    for r in rows:
-        label = f"{r.bucket[0]}-{r.bucket[1]}"
-        lines.append(
-            f"  {label:<12}{r.count:>8}{_pct(r.excess_share):>14}"
-            f"{_avg(r.excess_avg):>10}{_pct(r.missing_share):>15}{_avg(r.missing_avg):>10}"
-        )
-    return "\n".join(lines)
-
-
-def _report_row(table: str, report: EvalReport) -> dict:
-    return {
-        "table": table,
-        "group": report.group_key,
-        "count": report.count,
-        "share_correct": report.share_correct,
-        "excess_share": report.excess_share,
-        "excess_avg": report.excess_avg,
-        "missing_share": report.missing_share,
-        "missing_avg": report.missing_avg,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-    }
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.buckets < 1:
         raise DeclutterError("--buckets must be >= 1")
@@ -157,7 +127,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     outcomes = [score_abstract(r, predictions.get(r.id, [])) for r in gold]
-    lengths = {r.id: len(tokenize(r.text)) for r in gold}
 
     overall = aggregate(outcomes)
     by_labels = aggregate(outcomes, "has_labels")
@@ -165,7 +134,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if any(r.meta.source for r in gold):
         category_map = {r.id: (r.meta.source or "(none)") for r in gold}
     by_category = aggregate(outcomes, category_map) if category_map else []
-    buckets = length_buckets(outcomes, lengths, args.buckets)
+    buckets = length_buckets(outcomes, args.buckets)
 
     print(_format_report_table("all", overall))
     print()
@@ -174,7 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print()
         print(_format_report_table("Category", by_category))
     print()
-    print(_format_length_table(buckets))
+    print(_format_report_table("Length (tokens)", buckets))
     precision, recall, f1 = token_prf(outcomes)
     print()
     print(
@@ -188,27 +157,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 ("overall", overall),
                 ("has_labels", by_labels),
                 ("category", by_category),
+                ("length_buckets", buckets),
             ):
                 for row in rows:
-                    fh.write(json.dumps(_report_row(table, row), ensure_ascii=False))
-                    fh.write("\n")
-            for bucket_row in buckets:
-                fh.write(
-                    json.dumps(
-                        {
-                            "table": "length_buckets",
-                            "bucket_min": bucket_row.bucket[0],
-                            "bucket_max": bucket_row.bucket[1],
-                            "count": bucket_row.count,
-                            "excess_share": bucket_row.excess_share,
-                            "excess_avg": bucket_row.excess_avg,
-                            "missing_share": bucket_row.missing_share,
-                            "missing_avg": bucket_row.missing_avg,
-                        },
-                        ensure_ascii=False,
-                    )
-                )
-                fh.write("\n")
+                    line = {"table": table, **dataclasses.asdict(row)}
+                    fh.write(json.dumps(line, ensure_ascii=False) + "\n")
     return 0
 
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import CorpusError
+from .errors import CorpusError, DeclutterError
 from .textspan import Span, filter_spans
 
 _SCHEMAS = ("gold", "predictions")
@@ -144,6 +144,24 @@ def _record_from_obj(obj: object, schema: str, where: str) -> LabeledAbstract:
         raise CorpusError(f"{where}: {exc}") from exc
 
 
+def iter_jsonl(
+    path: str, error: type[DeclutterError]
+) -> Iterator[tuple[str, object]]:
+    """Yield ``(where, obj)`` for each non-blank line of a JSON Lines file,
+    ``where`` being ``"{path}:{line}"``; a line that is not JSON raises
+    ``error`` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{where}: malformed line: {exc}") from exc
+            yield where, obj
+
+
 def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:
     """Load a JSONL corpus, enforcing the invariants of the given schema.
 
@@ -155,20 +173,12 @@ def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:
         raise ValueError(f"unknown schema {schema!r}; expected one of {_SCHEMAS}")
     records: list[LabeledAbstract] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: malformed line: {exc}") from exc
-            record = _record_from_obj(obj, schema, where)
-            if record.id in seen:
-                raise CorpusError(f"{where}: duplicate id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
+    for where, obj in iter_jsonl(path, CorpusError):
+        record = _record_from_obj(obj, schema, where)
+        if record.id in seen:
+            raise CorpusError(f"{where}: duplicate id {record.id!r}")
+        seen.add(record.id)
+        records.append(record)
     return records
 
 

@@ -14,13 +14,12 @@ sign is ``+1`` when ``(H >> 32) & 1 == 0`` else ``-1``.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import LabeledAbstract
+from .corpus import LabeledAbstract, iter_jsonl
 from .errors import EmbeddingError
 from .textspan import Span, clean_text, tokenize
 
@@ -102,29 +101,23 @@ class ExternalVectorProvider:
     @classmethod
     def load(cls, path: str) -> "ExternalVectorProvider":
         vectors: dict[str, EmbeddingVector] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise EmbeddingError(f"{where}: malformed line: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise EmbeddingError(f"{where}: record must be a JSON object")
-                vec_id = obj.get("id")
-                values = obj.get("values")
-                if not isinstance(vec_id, str) or not vec_id:
-                    raise EmbeddingError(f"{where}: id must be a non-empty string")
-                if not isinstance(values, list) or not values or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in values
-                ):
-                    raise EmbeddingError(f"{where}: values must be a non-empty number list")
-                if vec_id in vectors:
-                    raise EmbeddingError(f"{where}: duplicate id {vec_id!r}")
-                vectors[vec_id] = EmbeddingVector.from_values(values)
+        for where, obj in iter_jsonl(path, EmbeddingError):
+            if not isinstance(obj, dict):
+                raise EmbeddingError(f"{where}: record must be a JSON object")
+            vec_id = obj.get("id")
+            values = obj.get("values")
+            if not isinstance(vec_id, str) or not vec_id:
+                raise EmbeddingError(f"{where}: id must be a non-empty string")
+            # json.loads accepts NaN and Infinity; either makes every cosine NaN.
+            if not isinstance(values, list) or not values or not all(
+                type(v) in (int, float) and math.isfinite(v) for v in values
+            ):
+                raise EmbeddingError(
+                    f"{where}: values must be a non-empty list of finite numbers"
+                )
+            if vec_id in vectors:
+                raise EmbeddingError(f"{where}: duplicate id {vec_id!r}")
+            vectors[vec_id] = EmbeddingVector.from_values(values)
         return cls(vectors)
 
     @property
@@ -135,12 +128,6 @@ class ExternalVectorProvider:
         if doc_id is None or doc_id not in self._vectors:
             raise EmbeddingError(f"no ingested vector for id {doc_id!r}")
         return self._vectors[doc_id]
-
-
-def embed_text(text: str, provider, doc_id: str | None = None) -> EmbeddingVector:
-    """Embed ``text`` with the given provider; external providers look the
-    vector up under ``doc_id`` instead of encoding the text."""
-    return provider.vector(text, doc_id)
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:

@@ -14,7 +14,7 @@ class DetectorError(DeclutterError):
 
 
 class EvaluationError(DeclutterError):
-    """Scoring input is inconsistent (bad spans, missing lengths, ...)."""
+    """Scoring input is inconsistent (bad spans, ...)."""
 
 
 class EmbeddingError(DeclutterError):

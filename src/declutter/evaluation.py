@@ -30,6 +30,7 @@ class AbstractOutcome:
     excess_tokens: int
     missing_tokens: int
     correct: bool
+    tokens: int
 
     @property
     def matched_tokens(self) -> int:
@@ -38,7 +39,8 @@ class AbstractOutcome:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One stratum row; shares are unrounded percentages, averages are means
+    """One stratum row of any eval table (overall, has-labels, category or
+    length bucket); shares are unrounded percentages, averages are means
     over the abstracts that actually had excess (resp. missing) tokens and
     are ``None`` when no abstract did."""
 
@@ -52,18 +54,6 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-
-
-@dataclass(frozen=True)
-class LengthBucketRow:
-    """Excess/missing columns for one abstract-length bucket."""
-
-    bucket: tuple[int, int]
-    count: int
-    excess_share: float
-    excess_avg: float | None
-    missing_share: float
-    missing_avg: float | None
 
 
 def score_abstract(
@@ -90,6 +80,7 @@ def score_abstract(
         excess_tokens=excess,
         missing_tokens=missing,
         correct=excess == 0 and missing == 0,
+        tokens=len(token_map),
     )
 
 
@@ -161,11 +152,10 @@ def aggregate(
 
 
 def length_buckets(
-    outcomes: Iterable[AbstractOutcome],
-    token_lengths: Mapping[str, int],
-    n_buckets: int,
-) -> list[LengthBucketRow]:
-    """Equal-frequency buckets over abstract token length.
+    outcomes: Iterable[AbstractOutcome], n_buckets: int
+) -> list[EvalReport]:
+    """Equal-frequency buckets over abstract token length, one row per
+    bucket keyed ``"<min>-<max>"`` by its members' token lengths.
 
     Bucket upper bounds are the length quantiles; an abstract whose length
     ties a boundary goes to the lower bucket, so heavy ties can collapse
@@ -176,31 +166,15 @@ def length_buckets(
     outcomes = sorted(outcomes, key=lambda o: o.id)
     if not outcomes:
         return []
-    lengths = {}
-    for o in outcomes:
-        if o.id not in token_lengths:
-            raise EvaluationError(f"no token length for id {o.id!r}")
-        lengths[o.id] = token_lengths[o.id]
-    ordered = sorted(lengths.values())
+    ordered = sorted(o.tokens for o in outcomes)
     n = len(ordered)
     cuts = sorted({ordered[math.ceil(k * n / n_buckets) - 1] for k in range(1, n_buckets + 1)})
     members: list[list[AbstractOutcome]] = [[] for _ in cuts]
     for o in outcomes:
-        members[bisect_left(cuts, lengths[o.id])].append(o)
-    rows = []
-    for grp in members:
-        if not grp:
-            continue
-        grp_lengths = [lengths[o.id] for o in grp]
-        report = _stratum_report("", grp)
-        rows.append(
-            LengthBucketRow(
-                bucket=(min(grp_lengths), max(grp_lengths)),
-                count=report.count,
-                excess_share=report.excess_share,
-                excess_avg=report.excess_avg,
-                missing_share=report.missing_share,
-                missing_avg=report.missing_avg,
-            )
-        )
-    return rows
+        members[bisect_left(cuts, o.tokens)].append(o)
+    # Every cut is some abstract's length, so each bucket holds the
+    # abstracts of that length and the cut is its maximum.
+    return [
+        _stratum_report(f"{min(o.tokens for o in grp)}-{cut}", grp)
+        for cut, grp in zip(cuts, members)
+    ]

@@ -1,9 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
+import declutter.cli
+import declutter.evaluation
 from declutter.cli import main
 from declutter.corpus import load_corpus
+from declutter.evaluation import EvalReport
+from declutter.textspan import tokenize
 
 
 def run(capsys, *argv):
@@ -186,12 +191,27 @@ class TestEval:
         rows = [json.loads(line) for line in report.read_text().splitlines()]
         tables = {r["table"] for r in rows}
         assert {"overall", "has_labels", "length_buckets"} <= tables
-        for row in rows:
-            if row["table"] == "length_buckets":
-                assert set(row) == {
-                    "table", "bucket_min", "bucket_max", "count",
-                    "excess_share", "excess_avg", "missing_share", "missing_avg",
-                }
+        fields = {"table"} | {f.name for f in dataclasses.fields(EvalReport)}
+        assert all(set(row) == fields for row in rows)
+        buckets = [r for r in rows if r["table"] == "length_buckets"]
+        # token lengths are 4, 3 and 3
+        assert [(r["group_key"], r["count"]) for r in buckets] == [("3-3", 2), ("4-4", 1)]
+
+    def test_tokenizes_each_gold_record_once(self, write_jsonl, capsys, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        # Both names eval could reach the tokenizer through.
+        monkeypatch.setattr(declutter.evaluation, "tokenize", counting_tokenize)
+        monkeypatch.setattr(declutter.cli, "tokenize", counting_tokenize)
+        gold = self._gold(write_jsonl)
+        pred = write_jsonl([], name="pred.jsonl")
+        rc, _, _ = run(capsys, "eval", "--gold", gold, "--pred", pred)
+        assert rc == 0
+        assert sorted(calls) == ["clean text here", "w0 w1 w2 w3", "x0 x1 x2"]
 
 
 class TestStats:

@@ -9,7 +9,6 @@ from declutter.embedding import (
     EmbeddingVector,
     ExternalVectorProvider,
     cosine,
-    embed_text,
     rank_references,
 )
 from declutter.errors import EmbeddingError
@@ -78,10 +77,6 @@ class TestBuiltinProvider:
             got = provider.vector(text)
             assert list(got.values) == pytest.approx(oracle_vector(text, 8), abs=1e-12)
 
-    def test_embed_text_wrapper(self):
-        provider = BuiltinProvider(dimension=8)
-        assert embed_text("abc", provider) == provider.vector("abc")
-
 
 class TestCosine:
     def test_self_similarity(self):
@@ -135,9 +130,13 @@ class TestExternalVectors:
             ExternalVectorProvider.load(path)
 
     def test_malformed_values_rejected(self, write_jsonl):
-        path = write_jsonl([{"id": "a", "values": ["x"]}], name="v.jsonl")
-        with pytest.raises(EmbeddingError, match="values"):
-            ExternalVectorProvider.load(path)
+        for values in (["x"], [1.0, float("nan")], [float("-inf"), 0.5]):
+            path = write_jsonl(
+                [{"id": "b", "values": [1.0]}, {"id": "a", "values": values}],
+                name="v.jsonl",
+            )
+            with pytest.raises(EmbeddingError, match=r"v\.jsonl:2: values"):
+                ExternalVectorProvider.load(path)
 
 
 class TestRankReferences:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import unicodedata
 
@@ -72,6 +73,7 @@ def oracle_outcome(record, predicted):
         "missing": len(gold - pred),
         "matched": len(pred & gold),
         "correct": gold == pred,
+        "tokens": len(oracle_tokens(record.text)),
     }
 
 
@@ -84,6 +86,7 @@ class TestScoreAbstract:
         assert outcome.pred_tokens == 3
         assert outcome.excess_tokens == 1
         assert outcome.missing_tokens == 1
+        assert outcome.tokens == 8
         assert not outcome.correct
         p, r, f = token_prf([outcome])
         assert (p, r) == (2 / 3, 2 / 3)
@@ -191,7 +194,7 @@ class TestAggregate:
 
 class TestLengthBuckets:
     @staticmethod
-    def _outcome(rec_id, excess=0, missing=0):
+    def _outcome(rec_id, tokens, excess=0, missing=0):
         return AbstractOutcome(
             id=rec_id,
             gold_tokens=missing,
@@ -199,54 +202,44 @@ class TestLengthBuckets:
             excess_tokens=excess,
             missing_tokens=missing,
             correct=excess == 0 and missing == 0,
+            tokens=tokens,
         )
 
     def test_single_bucket_equals_ungrouped(self):
         outcomes = [
-            self._outcome("a", excess=2),
-            self._outcome("b"),
-            self._outcome("c", missing=3),
+            self._outcome("a", 10, excess=2),
+            self._outcome("b", 30),
+            self._outcome("c", 20, missing=3),
         ]
-        lengths = {"a": 10, "b": 30, "c": 20}
-        (bucket,) = length_buckets(outcomes, lengths, 1)
+        (bucket,) = length_buckets(outcomes, 1)
         (overall,) = aggregate(outcomes)
-        assert bucket.count == overall.count
-        assert bucket.excess_share == overall.excess_share
-        assert bucket.excess_avg == overall.excess_avg
-        assert bucket.missing_share == overall.missing_share
-        assert bucket.missing_avg == overall.missing_avg
-        assert bucket.bucket == (10, 30)
+        assert bucket == dataclasses.replace(overall, group_key="10-30")
 
     def test_quantile_split_by_hand(self):
-        outcomes = [self._outcome(x) for x in "abcd"]
-        lengths = {"a": 10, "b": 20, "c": 30, "d": 40}
-        rows = length_buckets(outcomes, lengths, 2)
-        assert [r.bucket for r in rows] == [(10, 20), (30, 40)]
+        outcomes = [self._outcome(x, n) for x, n in zip("abcd", (10, 20, 30, 40))]
+        rows = length_buckets(outcomes, 2)
+        assert [r.group_key for r in rows] == ["10-20", "30-40"]
         assert [r.count for r in rows] == [2, 2]
 
     def test_boundary_ties_go_to_lower_bucket(self):
-        outcomes = [self._outcome(x) for x in "abcde"]
-        lengths = {"a": 10, "b": 20, "c": 20, "d": 20, "e": 40}
-        rows = length_buckets(outcomes, lengths, 2)
-        assert [r.bucket for r in rows] == [(10, 20), (40, 40)]
+        outcomes = [
+            self._outcome(x, n) for x, n in zip("abcde", (10, 20, 20, 20, 40))
+        ]
+        rows = length_buckets(outcomes, 2)
+        assert [r.group_key for r in rows] == ["10-20", "40-40"]
         assert [r.count for r in rows] == [4, 1]
 
     def test_counts_always_sum_to_total(self):
         rng = random.Random(1)
         for _ in range(50):
             ids = [f"r{i}" for i in range(rng.randint(1, 12))]
-            outcomes = [self._outcome(i) for i in ids]
-            lengths = {i: rng.randint(1, 6) for i in ids}
-            rows = length_buckets(outcomes, lengths, rng.randint(1, 5))
+            outcomes = [self._outcome(i, rng.randint(1, 6)) for i in ids]
+            rows = length_buckets(outcomes, rng.randint(1, 5))
             assert sum(r.count for r in rows) == len(ids)
-
-    def test_missing_length_rejected(self):
-        with pytest.raises(EvaluationError, match="no token length"):
-            length_buckets([self._outcome("a")], {}, 2)
 
     def test_bad_bucket_count_rejected(self):
         with pytest.raises(ValueError):
-            length_buckets([], {}, 0)
+            length_buckets([], 0)
 
 
 class TestMonotoneSensitivity:
@@ -297,6 +290,7 @@ class TestOracleEquivalence:
                 assert outcome.excess_tokens == want["excess"]
                 assert outcome.missing_tokens == want["missing"]
                 assert outcome.correct == want["correct"]
+                assert outcome.tokens == want["tokens"]
             p, r, f = token_prf(outcomes)
             tp = sum(w["matched"] for w in expected)
             np_ = sum(w["pred"] for w in expected)
