@@ -81,6 +81,18 @@ class BuiltinProvider:
         return EmbeddingVector.from_values(values)
 
 
+def _is_finite_number(v: object) -> bool:
+    """A JSON number that is a finite float. json.loads accepts NaN and
+    Infinity, either of which makes every cosine NaN, and integers of any
+    size, which a float cannot hold."""
+    if type(v) not in (int, float):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 class ExternalVectorProvider:
     """Vectors precomputed elsewhere, keyed by record id.
 
@@ -108,9 +120,8 @@ class ExternalVectorProvider:
             values = obj.get("values")
             if not isinstance(vec_id, str) or not vec_id:
                 raise EmbeddingError(f"{where}: id must be a non-empty string")
-            # json.loads accepts NaN and Infinity; either makes every cosine NaN.
             if not isinstance(values, list) or not values or not all(
-                type(v) in (int, float) and math.isfinite(v) for v in values
+                map(_is_finite_number, values)
             ):
                 raise EmbeddingError(
                     f"{where}: values must be a non-empty list of finite numbers"

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 REM_LABEL = "REM"
@@ -45,13 +47,26 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True)
 class TokenMap:
-    """Tokens of a source string together with their character offsets."""
+    """Token offsets of a source string: token ``i`` is
+    ``source[starts[i]:ends[i]]``. Both offset tuples are increasing, so
+    :func:`tokens_under` can bisect them."""
 
-    tokens: tuple[Token, ...]
-    source_length: int
+    source: str
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+
+    @property
+    def source_length(self) -> int:
+        return len(self.source)
+
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        """The tokens with their text, built on first use."""
+        src = self.source
+        return tuple(Token(src[a:b], a, b) for a, b in zip(self.starts, self.ends))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.starts)
 
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
@@ -67,10 +82,14 @@ def filter_spans(spans: Iterable[Span]) -> list[Span]:
     """
     candidates = sorted(spans, key=lambda s: (-(s.end - s.start), s.start))
     kept: list[Span] = []
+    kept_starts: list[int] = []
     for span in candidates:
-        if not any(span.overlaps(k) for k in kept):
-            kept.append(span)
-    kept.sort(key=lambda s: s.start)
+        # Kept spans are disjoint and sorted, so the one starting last before
+        # span.end also ends last: it is the only one that can overlap.
+        i = bisect_left(kept_starts, span.end)
+        if i == 0 or kept[i - 1].end <= span.start:
+            kept.insert(i, span)
+            kept_starts.insert(i, span.start)
     return kept
 
 
@@ -118,11 +137,18 @@ def clean_text(text: str, spans: Iterable[Span]) -> str:
     return cleaned if cleaned else text
 
 
-_CHUNK_RE = re.compile(r"\S+")
-
-
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+# Punctuation means Unicode categories P*. The pattern knows only the ASCII
+# ones; tokenize() stands "." in for the non-ASCII ones of each text, which
+# keeps offsets and follows the interpreter's Unicode version. (A class of all
+# of P* takes 0.25 s to build at import, and sre scans its ranges beyond the
+# BMP linearly.) A token is one punctuation character, or the run of a
+# whitespace-free chunk from its first to its last non-punctuation character.
+_ASCII_PUNCT = "".join(
+    c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")
+)
+_P = re.escape(_ASCII_PUNCT)
+_TOKEN_RE = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
 def tokenize(text: str) -> TokenMap:
@@ -131,31 +157,29 @@ def tokenize(text: str) -> TokenMap:
     Each detached punctuation character becomes a single-character token, so
     ``"Fig. 1)"`` yields ``Fig`` ``.`` ``1`` ``)``. Punctuation means Unicode
     categories ``P*``; symbols such as the copyright sign stay attached.
-    Offsets index into the source text.
+    Offsets index into the source text; one regex pass finds them all.
     """
-    tokens: list[Token] = []
-    for m in _CHUNK_RE.finditer(text):
-        chunk = m.group()
-        base = m.start()
-        lo, hi = 0, len(chunk)
-        while lo < hi and _is_punct(chunk[lo]):
-            tokens.append(Token(chunk[lo], base + lo, base + lo + 1))
-            lo += 1
-        core_hi = hi
-        while core_hi > lo and _is_punct(chunk[core_hi - 1]):
-            core_hi -= 1
-        if lo < core_hi:
-            tokens.append(Token(chunk[lo:core_hi], base + lo, base + core_hi))
-        for i in range(core_hi, hi):
-            tokens.append(Token(chunk[i], base + i, base + i + 1))
-    return TokenMap(tuple(tokens), len(text))
+    masked = text
+    if not text.isascii():
+        punct = [
+            ord(c)
+            for c in set(_NON_ASCII_RE.findall(text))
+            if unicodedata.category(c).startswith("P")
+        ]
+        if punct:  # translate costs ~100 ns a character, so only when needed
+            masked = text.translate(dict.fromkeys(punct, "."))
+    spans = list(map(re.Match.span, _TOKEN_RE.finditer(masked)))
+    starts, ends = zip(*spans) if spans else ((), ())
+    return TokenMap(text, starts, ends)
 
 
 def tokens_under(spans: Iterable[Span], token_map: TokenMap) -> set[int]:
     """Indices of tokens overlapping any span by at least one character."""
+    starts, ends = token_map.starts, token_map.ends
     covered: set[int] = set()
     for span in spans:
-        for idx, tok in enumerate(token_map.tokens):
-            if tok.start < span.end and span.start < tok.end:
-                covered.add(idx)
+        # Tokens ending after span.start up to those starting before span.end.
+        covered.update(
+            range(bisect_right(ends, span.start), bisect_left(starts, span.end))
+        )
     return covered

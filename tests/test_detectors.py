@@ -218,6 +218,24 @@ class TestRulePacks:
                     if not hit:
                         assert regex.search(text) is None, (rule_id, text)
 
+    def test_untriggered_rules_are_exactly_the_known_four(self):
+        """Trigger derivation reads the private sre parse tree; if its shape
+        changes, _make_trigger returns None everywhere and the test above
+        passes without checking anything. Pin which rules lack a trigger."""
+        rules = _compiled_rules(DetectorConfig())
+        untriggered = {
+            rule_id
+            for triples in rules.values()
+            for rule_id, _regex, trigger in triples
+            if trigger is None
+        }
+        assert untriggered == {
+            "bracket_refs",
+            "journal_vol_pages",
+            "msc_codes",
+            "paren_figtab",
+        }
+
 
 class TestToRemSpans:
     def test_empty(self):

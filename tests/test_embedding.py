@@ -130,7 +130,8 @@ class TestExternalVectors:
             ExternalVectorProvider.load(path)
 
     def test_malformed_values_rejected(self, write_jsonl):
-        for values in (["x"], [1.0, float("nan")], [float("-inf"), 0.5]):
+        # The last is an integer too large for a float.
+        for values in (["x"], [1.0, float("nan")], [float("-inf"), 0.5], [10**400]):
             path = write_jsonl(
                 [{"id": "b", "values": [1.0]}, {"id": "a", "values": values}],
                 name="v.jsonl",

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import unicodedata
 
 import pytest
@@ -50,6 +51,58 @@ def oracle_tokens(text):
         tokens.extend(reversed(tail))
         i = j
     return tokens
+
+
+def chunk_loop_tokens(text):
+    """The char-loop tokenizer the regex one replaced, kept as a second oracle:
+    split on ``\\S+``, then peel P* characters off both ends of each chunk."""
+
+    def is_punct(ch):
+        return unicodedata.category(ch).startswith("P")
+
+    tokens = []
+    for m in re.finditer(r"\S+", text):
+        chunk, base = m.group(), m.start()
+        lo, hi = 0, len(chunk)
+        while lo < hi and is_punct(chunk[lo]):
+            tokens.append((chunk[lo], base + lo, base + lo + 1))
+            lo += 1
+        core_hi = hi
+        while core_hi > lo and is_punct(chunk[core_hi - 1]):
+            core_hi -= 1
+        if lo < core_hi:
+            tokens.append((chunk[lo:core_hi], base + lo, base + core_hi))
+        for i in range(core_hi, hi):
+            tokens.append((chunk[i], base + i, base + i + 1))
+    return tokens
+
+
+# Characters the tokenizer must treat right: ASCII and non-ASCII punctuation
+# (in and beyond the BMP), other non-ASCII letters and symbols, characters
+# that are special inside a regex class, and Unicode whitespace.
+TOKENIZER_POOL = (
+    list("ab9μ量") + list(".,;:()'\"!?") + ["\\", "]", "^", "-", "["]
+    + ["–", "«", "、", "。", "\U00010100", "\U0001e95e"]
+    + ["🦊", "©", "+", "$"]
+    + [" ", " ", "\t", "\n", "\x85", "\x1c", "\u3000", "\xa0"]
+)
+
+
+class TestTokenizeDifferential:
+    def test_matches_both_oracles_on_random_texts(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            text = "".join(
+                rng.choice(TOKENIZER_POOL) for _ in range(rng.randint(0, 60))
+            )
+            token_map = tokenize(text)
+            got = [(t.text, t.start, t.end) for t in token_map]
+            assert got == chunk_loop_tokens(text), repr(text)
+            assert [list(range(s, e)) for _, s, e in got] == oracle_tokens(text)
+            assert list(token_map.starts) == [s for _, s, _ in got]
+            assert list(token_map.ends) == [e for _, _, e in got]
+            assert len(token_map) == len(got)
+            assert token_map.source_length == len(text)
 
 
 def oracle_covered(text, spans):

@@ -29,6 +29,38 @@ def greedy_oracle(candidates):
     return sorted(kept, key=lambda s: s.start)
 
 
+def pairwise_filter(candidates):
+    """The O(n * kept) filter_spans that the bisect version replaced: each
+    candidate, longest first, is checked against every kept span."""
+    ordered = sorted(candidates, key=lambda s: (-(s.end - s.start), s.start))
+    kept = []
+    for span in ordered:
+        if not any(span.overlaps(k) for k in kept):
+            kept.append(span)
+    kept.sort(key=lambda s: s.start)
+    return kept
+
+
+def nested_loop_tokens_under(span_set, token_map):
+    """The O(spans * tokens) tokens_under that the bisect version replaced."""
+    covered = set()
+    for span in span_set:
+        for idx, tok in enumerate(token_map.tokens):
+            if tok.start < span.end and span.start < tok.end:
+                covered.add(idx)
+    return covered
+
+
+def random_span_set(rng, limit, max_len):
+    """Unsorted spans that may overlap, repeat or differ only in label."""
+    out = []
+    for _ in range(rng.randint(0, 40)):
+        start = rng.randint(0, limit - 1)
+        end = min(limit, start + rng.randint(1, max_len))
+        out.append(Span(start, end, rng.choice("AB")))
+    return out
+
+
 class TestFilterSpans:
     def test_empty(self):
         assert filter_spans([]) == []
@@ -55,6 +87,13 @@ class TestFilterSpans:
             got = filter_spans(candidates)
             assert got == greedy_oracle(candidates)
             assert filter_spans(got) == got  # idempotent
+
+    def test_matches_pairwise_version_on_random_inputs(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            limit, max_len = rng.randint(1, 200), rng.choice((3, 15, 60))
+            candidates = random_span_set(rng, limit, max_len)
+            assert filter_spans(candidates) == pairwise_filter(candidates)
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
@@ -166,3 +205,14 @@ class TestTokensUnder:
             small = tokens_under([first], token_map)
             big = tokens_under([first, second], token_map)
             assert small <= big
+
+    def test_matches_nested_loop_version_on_random_spans(self):
+        rng = random.Random(23)
+        pool = "ab μ©.,()[]- \t\n"
+        for _ in range(500):
+            text = "".join(rng.choice(pool) for _ in range(rng.randint(1, 80)))
+            token_map = tokenize(text)
+            span_set = random_span_set(rng, len(text), rng.choice((1, 4, 30)))
+            assert tokens_under(span_set, token_map) == nested_loop_tokens_under(
+                span_set, token_map
+            )
