@@ -7,9 +7,15 @@ Each clutter category owns a rule pack, a plain-text file named
 
 Lines starting with ``#`` are comments. Patterns use an engine-neutral regular
 expression subset: literals, character classes, alternation, bounded and
-unbounded repetition, non-capturing groups ``(?:...)``, and the anchors ``^``,
-``$`` and ``\\b``. Lookaround, backreferences and inline flags are rejected so
-packs stay portable across regex engines.
+unbounded repetition, plain and non-capturing groups ``(?:...)``, and the
+anchors ``^``, ``$`` and ``\\b``. Lookaround, backreferences, named groups,
+inline flags, possessive quantifiers and atomic groups are rejected so packs
+stay portable across regex engines.
+
+Each rule also gets a prescreen trigger, derived from the same parse: a tuple
+of case-folded literals, one of which every match contains once case folded.
+``detect`` runs a rule's regex only on texts whose case-folded form contains
+one of them.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries;
@@ -26,18 +32,11 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 try:  # the sre internals moved under re._* in newer interpreters
+    from re import _compiler as _sre_compile  # type: ignore[attr-defined]
     from re import _parser as _sre_parse  # type: ignore[attr-defined]
-    from re._constants import (  # type: ignore[attr-defined]
-        BRANCH,
-        IN,
-        LITERAL,
-        MAX_REPEAT,
-        MIN_REPEAT,
-        SUBPATTERN,
-    )
 except ImportError:  # pragma: no cover - Python <= 3.10
+    import sre_compile as _sre_compile
     import sre_parse as _sre_parse
-    from sre_constants import BRANCH, IN, LITERAL, MAX_REPEAT, MIN_REPEAT, SUBPATTERN
 
 from ..corpus import load_corpus
 from ..errors import DetectorError
@@ -86,13 +85,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class Rule:
-    rule_id: str
-    category: str
-    pattern: str
-
-
-@dataclass(frozen=True)
 class Detection:
     """One rule match; ``span.label`` always equals ``category``."""
 
@@ -101,130 +93,112 @@ class Detection:
     rule_id: str
 
 
-def _validate_pattern(pattern: str, where: str) -> None:
-    i, n = 0, len(pattern)
-    while i < n:
-        ch = pattern[i]
-        if ch == "\\":
-            if i + 1 < n and pattern[i + 1] in "123456789":
-                raise DetectorError(f"{where}: backreferences are not allowed")
-            i += 2
-            continue
-        if ch == "(" and pattern[i + 1 : i + 2] == "?":
-            if pattern[i + 2 : i + 3] != ":":
-                raise DetectorError(
-                    f"{where}: only non-capturing groups are allowed, got "
-                    f"{pattern[i:i + 4]!r}"
-                )
-        i += 1
-    try:
-        re.compile(pattern)
-    except re.error as exc:
-        raise DetectorError(f"{where}: bad pattern: {exc}") from exc
+# Parse-tree nodes of the engine-neutral subset; any other node rejects a rule.
+_ALLOWED_NODES = frozenset(
+    "LITERAL NOT_LITERAL ANY IN AT BRANCH SUBPATTERN MAX_REPEAT MIN_REPEAT".split()
+)
+_NODE_NAMES = {
+    "ASSERT": "lookaround",
+    "ASSERT_NOT": "lookaround",
+    "GROUPREF": "backreference",
+    "GROUPREF_EXISTS": "conditional backreference",
+}
 
 
-def _fold_class(class_items) -> str | None:
-    """A character class folds to one char iff all members lowercase alike."""
-    chars = set()
-    for op, value in class_items:
-        if op is not LITERAL:
-            return None
-        chars.add(chr(value).lower())
-    return chars.pop() if len(chars) == 1 else None
+def _not_allowed(where: str, what: str) -> DetectorError:
+    return DetectorError(
+        f"{where}: {what} not allowed; use only literals, classes, anchors, "
+        "alternation, repetition and plain or non-capturing groups"
+    )
 
 
-def _literal_runs(seq) -> list[str]:
-    """Mandatory lowercase literal runs of a parsed pattern sequence.
+def _literal_sets(seq, where: str) -> list[tuple[bool, tuple[str, ...]]]:
+    """Check a parsed pattern sequence against the engine-neutral subset and
+    return its mandatory case-folded literal sets, in pattern order.
 
-    Branches are not descended, and any construct that can break contiguity
-    ends the current run, so every returned string must occur verbatim (case
-    folded) inside any match of the pattern.
+    A set tagged ``True`` is one contiguous run; one tagged ``False`` holds the
+    longest run of each alternative of a branch. Every match of ``seq``, case
+    folded, contains every run and a member of every branch set. Optional
+    parts (minimum-zero repeats, alternatives nested in alternatives) are
+    checked but contribute nothing.
     """
-    runs: list[str] = []
-    current: list[str] = []
-
-    def flush() -> None:
-        if current:
-            runs.append("".join(current))
-            current.clear()
-
+    found: list[tuple[bool, tuple[str, ...]]] = []
+    run: list[str] = []
     for op, av in seq:
-        if op is LITERAL:
-            current.append(chr(av).lower())
-        elif op is IN:
-            folded = _fold_class(av)
-            if folded is not None:
-                current.append(folded)
-            else:
-                flush()
-        elif op is SUBPATTERN:
-            flush()
-            runs.extend(_literal_runs(av[3]))
-        elif op in (MAX_REPEAT, MIN_REPEAT):
-            flush()
-            lo, _hi, sub = av
-            if lo >= 1:
-                runs.extend(_literal_runs(sub))
-        else:
-            flush()
-    flush()
-    return runs
-
-
-def _branch_candidates(seq) -> list[tuple[str, ...]]:
-    """Any-of trigger sets: one per branch whose every alternative carries a
-    usable mandatory literal."""
-    found: list[tuple[str, ...]] = []
-    for op, av in seq:
-        if op is BRANCH:
-            bests = []
-            for alternative in av[1]:
-                best = max(_literal_runs(alternative), key=len, default="")
-                bests.append(best)
-            if bests and all(len(b) >= 3 for b in bests):
-                found.append(tuple(sorted(set(bests))))
-        elif op is SUBPATTERN:
-            found.extend(_branch_candidates(av[3]))
-        elif op in (MAX_REPEAT, MIN_REPEAT):
-            lo, _hi, sub = av
-            if lo >= 1:
-                found.extend(_branch_candidates(sub))
+        kind = op.name
+        if kind not in _ALLOWED_NODES:
+            name = _NODE_NAMES.get(kind, kind.lower().replace("_", " "))
+            raise _not_allowed(where, name)
+        if kind == "LITERAL":
+            run.append(chr(av).casefold())
+            continue
+        if kind == "IN":  # a class extends the run iff all its members fold alike
+            folds = {chr(v).casefold() if o.name == "LITERAL" else None for o, v in av}
+            if len(folds) == 1 and None not in folds:
+                run.append(folds.pop())
+                continue
+        if run:
+            found.append((True, ("".join(run),)))
+            run = []
+        if kind == "SUBPATTERN":
+            if av[1] or av[2]:
+                raise _not_allowed(where, "inline flags")
+            found += _literal_sets(av[3], where)
+        elif kind in ("MAX_REPEAT", "MIN_REPEAT"):
+            inner = _literal_sets(av[2], where)
+            if av[0] >= 1:
+                found += inner
+        elif kind == "BRANCH":
+            bests = set()
+            for alt in av[1]:
+                runs = [lits[0] for is_run, lits in _literal_sets(alt, where) if is_run]
+                bests.add(max(runs, key=len, default=""))
+            found.append((False, tuple(sorted(bests))))
+    if run:
+        found.append((True, ("".join(run),)))
     return found
 
 
-def _make_trigger(pattern: str) -> tuple | None:
-    """Derive a cheap substring prescreen for a pattern, or None.
+def _trigger(sets: list[tuple[bool, tuple[str, ...]]]) -> tuple[str, ...] | None:
+    """Pick the prescreen literals among a rule's mandatory literal sets.
 
-    The trigger is either ``("literal", s)`` or ``("anyof", (s, ...))`` where
-    every ``s`` is mandatory in any match once both sides are lowercased, so
-    skipping the regex when the trigger is absent can never drop a detection.
+    Short literals are too common to prescreen on, so every member must have
+    at least three characters, unless the set is a run with a distinctive
+    non-ASCII character such as the copyright sign. Of the usable sets, the
+    one whose shortest member is longest wins, a run winning a tie.
     """
-    try:
-        parsed = _sre_parse.parse(pattern)
-    except Exception:  # pragma: no cover - pattern already validated
-        return None
-    # Short runs are too common to prescreen on, unless they carry a
-    # distinctive non-ASCII character such as the copyright sign.
-    runs = [
-        r
-        for r in _literal_runs(parsed)
-        if len(r) >= 3 or any(ord(c) > 127 for c in r)
+    usable = [
+        (min(map(len, lits)), is_run, lits)
+        for is_run, lits in sets
+        if all(len(s) >= 3 for s in lits) or (is_run and not lits[0].isascii())
     ]
-    best_run = max(runs, key=len, default="")
-    branches = _branch_candidates(parsed)
-    best_branch = max(
-        branches, key=lambda alts: min(len(a) for a in alts), default=()
-    )
-    if best_run and (
-        not best_branch or len(best_run) >= min(len(a) for a in best_branch)
-    ):
-        return ("literal", best_run)
-    if best_branch:
-        return ("anyof", best_branch)
-    return None
+    return max(usable, key=lambda u: u[:2])[2] if usable else None
 
 
-def _parse_pack(lines: Iterable[str], where: str) -> list[Rule]:
+def _compile_rule(pattern: str, where: str) -> tuple[re.Pattern, tuple | None]:
+    """Parse ``pattern`` once, check it, and compile it along with its
+    prescreen trigger, derived from the same parse tree.
+
+    The trigger is a tuple of case-folded literals, one of which occurs in the
+    case-folded form of every text the regex matches in, so skipping the regex
+    when none occurs can never drop a detection. It is None when the pattern
+    has no usable mandatory literal.
+    """
+    # Besides re.error: a{99999999999} overflows, and thousands of nested
+    # groups exhaust the parser's stack.
+    try:
+        tree = _sre_parse.parse(pattern)
+    except (re.error, OverflowError, RecursionError) as exc:
+        raise DetectorError(f"{where}: bad pattern: {exc}") from exc
+    if tree.state.groupdict:
+        raise _not_allowed(where, "named group")
+    if tree.state.flags != re.UNICODE:
+        raise _not_allowed(where, "inline flags")
+    trigger = _trigger(_literal_sets(tree, where))
+    return _sre_compile.compile(tree), trigger
+
+
+def _parse_pack(lines: Iterable[str], where: str) -> list[tuple]:
     rules = []
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -240,13 +214,13 @@ def _parse_pack(lines: Iterable[str], where: str) -> list[Rule]:
             raise DetectorError(f"{where}:{lineno}: empty rule id or pattern")
         if category not in _CATEGORY_INDEX:
             raise DetectorError(f"{where}:{lineno}: unknown category {category!r}")
-        _validate_pattern(pattern, f"{where}:{lineno}")
-        rules.append(Rule(rule_id, category, pattern))
+        where_line = f"{where}:{lineno}"
+        rules.append((category, rule_id, *_compile_rule(pattern, where_line)))
     return rules
 
 
-def _load_rules(rules_dir: str | None) -> list[Rule]:
-    rules: list[Rule] = []
+def _load_rules(rules_dir: str | None) -> list[tuple]:
+    rules: list[tuple] = []
     if rules_dir is None:
         root = resources.files(__package__) / "rules"
         entries = sorted(
@@ -268,16 +242,15 @@ def _load_rules(rules_dir: str | None) -> list[Rule]:
 
 @lru_cache(maxsize=16)
 def _compiled_rules(config: DetectorConfig) -> dict[str, tuple]:
+    """``(rule_id, regex, trigger)`` of every loaded and custom rule, by category."""
     rules = _load_rules(config.rules_dir)
     for i, (category, pattern) in enumerate(config.custom_rules):
-        _validate_pattern(pattern, f"custom rule {i}")
-        rules.append(Rule(f"custom_{i}", category, pattern))
-    by_category: dict[str, list] = {}
-    for rule in rules:
-        by_category.setdefault(rule.category, []).append(
-            (rule.rule_id, re.compile(rule.pattern), _make_trigger(rule.pattern))
-        )
-    return {cat: tuple(triples) for cat, triples in by_category.items()}
+        where = f"custom rule {i}"
+        rules.append((category, f"custom_{i}", *_compile_rule(pattern, where)))
+    by_category: dict[str, list[tuple]] = {}
+    for category, *rule in rules:
+        by_category.setdefault(category, []).append(tuple(rule))
+    return {cat: tuple(compiled) for cat, compiled in by_category.items()}
 
 
 # Tokens before a '.' that do not end a sentence.
@@ -354,7 +327,7 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
         config = DetectorConfig()
     rules_by_category = _compiled_rules(config)
     enabled = set(config.enabled_categories)
-    lowered = text.lower()
+    folded = text.casefold()
     detections: list[Detection] = []
     seen: set[tuple] = set()
     for category in CATEGORY_REGISTRY:
@@ -362,11 +335,10 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
             continue
         for rule_id, regex, trigger in rules_by_category.get(category, ()):
             if trigger is not None:
-                kind, payload = trigger
-                if kind == "literal":
-                    if payload not in lowered:
-                        continue
-                elif not any(s in lowered for s in payload):
+                for literal in trigger:
+                    if literal in folded:
+                        break
+                else:
                     continue
             for m in regex.finditer(text):
                 s, e = m.span()
