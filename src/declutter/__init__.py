@@ -45,7 +45,6 @@ from .evaluation import (
 from .textspan import (
     REM_LABEL,
     Span,
-    Token,
     TokenMap,
     clean_text,
     ensure_finalized,
@@ -77,7 +76,6 @@ __all__ = [
     "REM_LABEL",
     "RankingDelta",
     "Span",
-    "Token",
     "TokenMap",
     "aggregate",
     "clean_text",

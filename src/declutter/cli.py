@@ -35,7 +35,8 @@ from .evaluation import (
     score_abstract,
     token_prf,
 )
-# tokenize is unused here; perfbench/tracer.py wraps declutter.cli.tokenize.
+# filter_spans and tokenize are unused here; perfbench/tracer.py wraps
+# declutter.cli.filter_spans and declutter.cli.tokenize.
 from .textspan import clean_text, filter_spans, tokenize  # noqa: F401
 
 RULES_ENV_VAR = "DECLUTTER_RULES"
@@ -50,7 +51,11 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
         categories = ()
     else:
         categories = tuple(name for name in raw.split(",") if name)
-    return DetectorConfig(enabled_categories=categories, rules_dir=rules_dir)
+    config = DetectorConfig(enabled_categories=categories, rules_dir=rules_dir)
+    # Compile the packs now: an invalid pack must fail the command even when
+    # the corpus is empty and detect never runs on a record.
+    detect("", config)
+    return config
 
 
 def cmd_clean(args: argparse.Namespace) -> int:
@@ -59,8 +64,7 @@ def cmd_clean(args: argparse.Namespace) -> int:
     counts: Counter[str] = Counter()
     cleaned_records = []
     for record in records:
-        detections = detect(record.text, config)
-        applied = filter_spans(d.span for d in detections)
+        applied = to_rem_spans(detect(record.text, config))
         cleaned = clean_text(record.text, applied)
         if not applied and cleaned == record.text:
             # A no-op pass keeps the record verbatim, including whatever its
@@ -224,18 +228,8 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
         f"top1_changed: {'yes' if delta.top1_changed else 'no'}"
     )
     if args.report:
-        payload = {
-            "focal": delta.focal_id,
-            "order_before": list(delta.order_before),
-            "order_after": list(delta.order_after),
-            "cosines_before": {rid: delta.cosines_before[rid] for rid in ref_ids},
-            "cosines_after": {rid: delta.cosines_after[rid] for rid in ref_ids},
-            "changed": delta.changed,
-            "top1_changed": delta.top1_changed,
-            "displacement": delta.displacement,
-        }
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, ensure_ascii=False))
+            fh.write(json.dumps(dataclasses.asdict(delta), ensure_ascii=False))
             fh.write("\n")
     return 0
 

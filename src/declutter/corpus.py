@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusError, DeclutterError
-from .textspan import Span, filter_spans
+from .textspan import Span, ensure_finalized, filter_spans
 
 _SCHEMAS = ("gold", "predictions")
 
@@ -48,25 +48,13 @@ class AbstractMeta:
 
 @dataclass(frozen=True)
 class LabeledAbstract:
-    """An abstract plus its labeled removal spans (gold or predicted)."""
+    """An abstract plus its labeled removal spans (gold or predicted). It is
+    checked when :func:`load_corpus` reads it, not when code builds it."""
 
     id: str
     text: str
     spans: tuple[Span, ...] = ()
     meta: AbstractMeta = field(default_factory=AbstractMeta)
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("record id must be non-empty")
-        object.__setattr__(self, "spans", tuple(self.spans))
-        prev_end = 0
-        for span in self.spans:
-            if span.start < prev_end:
-                raise ValueError(
-                    f"record {self.id!r}: overlapping or unsorted spans "
-                    f"at [{span.start}, {span.end})"
-                )
-            prev_end = span.end
 
 
 @dataclass(frozen=True)
@@ -132,16 +120,11 @@ def _record_from_obj(obj: object, schema: str, where: str) -> LabeledAbstract:
     if schema == "predictions":
         spans = filter_spans(spans)
     else:
-        for span in spans:
-            if span.end > len(text):
-                raise CorpusError(
-                    f"{where}: record {rec_id!r}: span out of bounds "
-                    f"[{span.start}, {span.end}) over text of length {len(text)}"
-                )
-    try:
-        return LabeledAbstract(rec_id, text, tuple(spans), meta)
-    except ValueError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
+        try:
+            ensure_finalized(spans, len(text))
+        except ValueError as exc:
+            raise CorpusError(f"{where}: record {rec_id!r}: {exc}") from exc
+    return LabeledAbstract(rec_id, text, tuple(spans), meta)
 
 
 def iter_jsonl(

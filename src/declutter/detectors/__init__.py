@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 try:  # the sre internals moved under re._* in newer interpreters
     from re import _compiler as _sre_compile  # type: ignore[attr-defined]
@@ -40,7 +40,7 @@ except ImportError:  # pragma: no cover - Python <= 3.10
 
 from ..corpus import load_corpus
 from ..errors import DetectorError
-from ..textspan import REM_LABEL, Span, filter_spans
+from ..textspan import Span, filter_spans
 
 CATEGORY_REGISTRY = (
     "copyright",
@@ -241,16 +241,18 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
 
 
 @lru_cache(maxsize=16)
-def _compiled_rules(config: DetectorConfig) -> dict[str, tuple]:
-    """``(rule_id, regex, trigger)`` of every loaded and custom rule, by category."""
+def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
+    """``(category, rule_id, regex, trigger)`` of every loaded and custom rule
+    of an enabled category, in registry order, pack order within a category.
+
+    Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
     for i, (category, pattern) in enumerate(config.custom_rules):
         where = f"custom rule {i}"
         rules.append((category, f"custom_{i}", *_compile_rule(pattern, where)))
-    by_category: dict[str, list[tuple]] = {}
-    for category, *rule in rules:
-        by_category.setdefault(category, []).append(tuple(rule))
-    return {cat: tuple(compiled) for cat, compiled in by_category.items()}
+    enabled = set(config.enabled_categories)
+    rules.sort(key=lambda rule: _CATEGORY_INDEX[rule[0]])  # stable
+    return tuple(rule for rule in rules if rule[0] in enabled)
 
 
 # Tokens before a '.' that do not end a sentence.
@@ -325,32 +327,27 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     """
     if config is None:
         config = DetectorConfig()
-    rules_by_category = _compiled_rules(config)
-    enabled = set(config.enabled_categories)
     folded = text.casefold()
     detections: list[Detection] = []
     seen: set[tuple] = set()
-    for category in CATEGORY_REGISTRY:
-        if category not in enabled:
-            continue
-        for rule_id, regex, trigger in rules_by_category.get(category, ()):
-            if trigger is not None:
-                for literal in trigger:
-                    if literal in folded:
-                        break
-                else:
-                    continue
-            for m in regex.finditer(text):
-                s, e = m.span()
-                if s == e:
-                    continue
-                if category in SENTENCE_SCOPED:
-                    s, e = _sentence_bounds(text, s, e)
-                key = (s, e, category, rule_id)
-                if key in seen:
-                    continue
-                seen.add(key)
-                detections.append(Detection(Span(s, e, category), category, rule_id))
+    for category, rule_id, regex, trigger in _compiled_rules(config):
+        if trigger is not None:
+            for literal in trigger:
+                if literal in folded:
+                    break
+            else:
+                continue
+        for m in regex.finditer(text):
+            s, e = m.span()
+            if s == e:
+                continue
+            if category in SENTENCE_SCOPED:
+                s, e = _sentence_bounds(text, s, e)
+            key = (s, e, category, rule_id)
+            if key in seen:
+                continue
+            seen.add(key)
+            detections.append(Detection(Span(s, e, category), category, rule_id))
     detections.sort(
         key=lambda d: (d.span.start, _CATEGORY_INDEX[d.category], d.span.end, d.rule_id)
     )
@@ -358,10 +355,9 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
 
 
 def to_rem_spans(detections: Iterable[Detection]) -> list[Span]:
-    """Relabel detections to REM and resolve overlaps into a finalized set."""
-    return filter_spans(
-        Span(d.span.start, d.span.end, REM_LABEL) for d in detections
-    )
+    """The finalized removal set of ``detections``: overlaps resolved by
+    :func:`filter_spans`, each kept span labeled with its category."""
+    return filter_spans(d.span for d in detections)
 
 
 def load_predictions(path: str) -> dict[str, list[Span]]:

@@ -69,7 +69,8 @@ class BuiltinProvider:
         return self._dimension
 
     def vector(self, text: str, doc_id: str | None = None) -> EmbeddingVector:
-        counts = Counter(t.text.lower() for t in tokenize(text))
+        tokens = tokenize(text)
+        counts = Counter(text[a:b].lower() for a, b in zip(tokens.starts, tokens.ends))
         values = [0.0] * self._dimension
         # Sorted iteration keeps float accumulation order platform-independent.
         for token, count in sorted(counts.items()):

@@ -11,8 +11,7 @@ import re
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 REM_LABEL = "REM"
 
@@ -39,12 +38,6 @@ class Span:
         return self.start < other.end and other.start < self.end
 
 
-class Token(NamedTuple):
-    text: str
-    start: int
-    end: int
-
-
 @dataclass(frozen=True)
 class TokenMap:
     """Token offsets of a source string: token ``i`` is
@@ -59,17 +52,8 @@ class TokenMap:
     def source_length(self) -> int:
         return len(self.source)
 
-    @cached_property
-    def tokens(self) -> tuple[Token, ...]:
-        """The tokens with their text, built on first use."""
-        src = self.source
-        return tuple(Token(src[a:b], a, b) for a, b in zip(self.starts, self.ends))
-
     def __len__(self) -> int:
         return len(self.starts)
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
 
 
 def filter_spans(spans: Iterable[Span]) -> list[Span]:
@@ -103,7 +87,7 @@ def ensure_finalized(spans: Iterable[Span], length: int) -> list[Span]:
     for span in spans:
         if span.start < prev_end:
             raise ValueError(
-                f"spans overlap or are unsorted at [{span.start}, {span.end})"
+                f"overlapping or unsorted spans at [{span.start}, {span.end})"
             )
         if span.end > length:
             raise ValueError(

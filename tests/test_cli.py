@@ -7,6 +7,7 @@ import declutter.cli
 import declutter.evaluation
 from declutter.cli import main
 from declutter.corpus import load_corpus
+from declutter.embedding import RankingDelta
 from declutter.evaluation import EvalReport
 from declutter.textspan import tokenize
 
@@ -105,6 +106,19 @@ class TestClean:
         (record,) = load_corpus(str(out), schema="predictions")
         assert "ZAPME" not in record.text
         assert "© 2020 X" in record.text  # built-in packs were replaced
+
+    def test_invalid_rule_pack_fails_on_empty_corpus(self, write_jsonl, tmp_path, capsys):
+        rules = tmp_path / "rules"
+        rules.mkdir()
+        (rules / "bad.rules").write_text("r1\tcopyright\tfoo(?=bar)\n", encoding="utf-8")
+        path = write_jsonl([])
+        out = tmp_path / "out.jsonl"
+        rc, _, err = run(
+            capsys, "clean", "--input", path, "--output", str(out), "--rules", str(rules)
+        )
+        assert rc == 1
+        assert "lookaround" in err
+        assert not out.exists()
 
     def test_deterministic_output_bytes(self, write_jsonl, tmp_path, capsys):
         path = write_jsonl(
@@ -256,6 +270,8 @@ class TestRankCompare:
         assert payload["order_before"] == ["b", "a", "c"]
         assert payload["order_after"] == ["a", "b", "c"]
         assert payload["displacement"] == 2
+        assert payload["focal_id"] == "f"
+        assert set(payload) == {f.name for f in dataclasses.fields(RankingDelta)}
 
     def test_detectors_disabled_changes_nothing(self, write_jsonl, capsys):
         corpus = self._corpus(write_jsonl)

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -134,6 +135,63 @@ def _random_record(rng: random.Random, idx: int) -> LabeledAbstract:
         source=rng.choice([None, "crawl-a", "μ-set"]),
     )
     return LabeledAbstract(f"r{idx:04d}", text, tuple(spans), meta)
+
+
+def parent_gold_accepts(text, spans):
+    """The two gold span checks that ensure_finalized replaced: every span in
+    bounds, then every span starting at or after the previous one's end."""
+    if any(span.end > len(text) for span in spans):
+        return False
+    prev_end = 0
+    for span in spans:
+        if span.start < prev_end:
+            return False
+        prev_end = span.end
+    return True
+
+
+def _random_gold_spans(rng, length):
+    """Span lists mostly near a valid set: touching, ending at ``length``,
+    overlapping, out of bounds, and now and then shuffled."""
+    spans, cursor = [], 0
+    for _ in range(rng.randint(0, 5)):
+        start = max(0, cursor + rng.randint(-3, 4))
+        end = start + rng.randint(1, 6)
+        if start < length and rng.random() < 0.2:
+            end = length
+        spans.append({"start": start, "end": end, "label": rng.choice("AB")})
+        cursor = end
+    if rng.random() < 0.2:
+        rng.shuffle(spans)
+    return spans
+
+
+def test_gold_loader_matches_parent_checks(tmp_path):
+    rng = random.Random(20241018)
+    verdicts = Counter()
+    for i in range(1200):
+        text = "".join(rng.choice("ab μ©") for _ in range(rng.randint(0, 24)))
+        raw = _random_gold_spans(rng, len(text))
+        rec_id = f"g{i}"
+        lines = [
+            json.dumps({"id": f"ok{k}", "text": "fine", "spans": []})
+            for k in range(rng.randint(0, 2))
+        ] + [""] * rng.randint(0, 1)
+        lines.append(json.dumps({"id": rec_id, "text": text, "spans": raw}))
+        path = tmp_path / f"{i}.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        spans = [Span(s["start"], s["end"], s["label"]) for s in raw]
+        want = parent_gold_accepts(text, spans)
+        verdicts[want] += 1
+        try:
+            record = load_corpus(str(path))[-1]
+        except CorpusError as exc:
+            assert not want, (text, raw)
+            assert str(exc).startswith(f"{path}:{len(lines)}: record {rec_id!r}: ")
+        else:
+            assert want, (text, raw)
+            assert record.spans == tuple(spans)
+    assert min(verdicts.values()) >= 300, verdicts
 
 
 def test_round_trip_identity_and_stable_bytes(tmp_path):

@@ -158,10 +158,9 @@ def detect_counting_runs(monkeypatch, texts, configs):
             return self.regex.finditer(text)
 
     counted = {
-        config: {
-            category: tuple((r, Counted(r, regex), t) for r, regex, t in triples)
-            for category, triples in real(config).items()
-        }
+        config: tuple(
+            (category, r, Counted(r, regex), t) for category, r, regex, t in real(config)
+        )
         for config in configs
     }
     with monkeypatch.context() as patch:
@@ -417,10 +416,9 @@ class TestRulePacks:
         # Not vacuous: every triggered rule was skipped on some text, and
         # every category detected something.
         for config in configs:
-            for triples in _compiled_rules(config).values():
-                for rule_id, _regex, trigger in triples:
-                    if trigger is not None:
-                        assert runs[rule_id] < oracle_runs[rule_id], rule_id
+            for _category, rule_id, _regex, trigger in _compiled_rules(config):
+                if trigger is not None:
+                    assert runs[rule_id] < oracle_runs[rule_id], rule_id
         found = {d.category for per_config in results for d in per_config[0]}
         assert found == set(CATEGORY_REGISTRY)
         assert {d.rule_id for per_config in results for d in per_config[1]} >= {
@@ -432,11 +430,7 @@ class TestRulePacks:
         derived table, including which four rules have no trigger, so a change
         in the tree's shape or in the derivation shows up here."""
         rules = _compiled_rules(DetectorConfig())
-        table = {
-            rule_id: trigger
-            for triples in rules.values()
-            for rule_id, _regex, trigger in triples
-        }
+        table = {rule_id: trigger for _category, rule_id, _regex, trigger in rules}
         assert table == BUILTIN_TRIGGERS
 
 
@@ -449,14 +443,17 @@ class TestToRemSpans:
 
         a = Detection(Span(0, 10, "copyright"), "copyright", "r1")
         b = Detection(Span(5, 12, "funding"), "funding", "r2")
-        assert to_rem_spans([a, b]) == [Span(0, 10, "REM")]
+        assert to_rem_spans([a, b]) == [Span(0, 10, "copyright")]
 
-    def test_touching_kept_and_relabeled(self):
+    def test_touching_kept_with_their_categories(self):
         from declutter.detectors import Detection
 
         a = Detection(Span(0, 4, "copyright"), "copyright", "r1")
         b = Detection(Span(4, 9, "funding"), "funding", "r2")
-        assert to_rem_spans([a, b]) == [Span(0, 4, "REM"), Span(4, 9, "REM")]
+        assert to_rem_spans([a, b]) == [
+            Span(0, 4, "copyright"),
+            Span(4, 9, "funding"),
+        ]
 
 
 class TestLoadPredictions:

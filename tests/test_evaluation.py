@@ -96,12 +96,12 @@ class TestTokenizeDifferential:
                 rng.choice(TOKENIZER_POOL) for _ in range(rng.randint(0, 60))
             )
             token_map = tokenize(text)
-            got = [(t.text, t.start, t.end) for t in token_map]
+            got = [
+                (text[s:e], s, e) for s, e in zip(token_map.starts, token_map.ends)
+            ]
             assert got == chunk_loop_tokens(text), repr(text)
             assert [list(range(s, e)) for _, s, e in got] == oracle_tokens(text)
-            assert list(token_map.starts) == [s for _, s, _ in got]
-            assert list(token_map.ends) == [e for _, _, e in got]
-            assert len(token_map) == len(got)
+            assert len(token_map) == len(got) == len(token_map.ends)
             assert token_map.source_length == len(text)
 
 

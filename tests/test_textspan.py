@@ -45,8 +45,8 @@ def nested_loop_tokens_under(span_set, token_map):
     """The O(spans * tokens) tokens_under that the bisect version replaced."""
     covered = set()
     for span in span_set:
-        for idx, tok in enumerate(token_map.tokens):
-            if tok.start < span.end and span.start < tok.end:
+        for idx, (start, end) in enumerate(zip(token_map.starts, token_map.ends)):
+            if start < span.end and span.start < end:
                 covered.add(idx)
     return covered
 
@@ -140,25 +140,31 @@ class TestEnsureFinalized:
             ensure_finalized(spans((4, 6), (0, 2)), 10)
 
 
+def token_texts(text):
+    token_map = tokenize(text)
+    return [text[a:b] for a, b in zip(token_map.starts, token_map.ends)]
+
+
 class TestTokenize:
     def test_empty(self):
         assert len(tokenize("")) == 0
 
     def test_punctuation_detached(self):
-        assert [t.text for t in tokenize("Fig. 1)")] == ["Fig", ".", "1", ")"]
+        assert token_texts("Fig. 1)") == ["Fig", ".", "1", ")"]
 
     def test_offsets(self):
-        assert [(t.start, t.end) for t in tokenize("a b")] == [(0, 1), (2, 3)]
+        token_map = tokenize("a b")
+        assert (token_map.starts, token_map.ends) == ((0, 2), (1, 3))
 
     def test_internal_punctuation_stays(self):
-        assert [t.text for t in tokenize("state-of-the-art")] == ["state-of-the-art"]
+        assert token_texts("state-of-the-art") == ["state-of-the-art"]
 
     def test_symbols_not_detached(self):
         # © is a symbol, not punctuation, so it stays attached.
-        assert [t.text for t in tokenize("©2020")] == ["©2020"]
+        assert token_texts("©2020") == ["©2020"]
 
     def test_all_punctuation_chunk(self):
-        assert [t.text for t in tokenize("-- !")] == ["-", "-", "!"]
+        assert token_texts("-- !") == ["-", "-", "!"]
 
     def test_offsets_reconstruct_slices(self):
         rng = random.Random(11)
@@ -166,15 +172,12 @@ class TestTokenize:
         for _ in range(200):
             text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
             token_map = tokenize(text)
-            for tok in token_map:
-                assert text[tok.start : tok.end] == tok.text
-                assert tok.text and not any(c.isspace() for c in tok.text)
-            starts = [t.start for t in token_map]
-            assert starts == sorted(starts)
-            assert all(
-                a.end <= b.start
-                for a, b in zip(token_map.tokens, token_map.tokens[1:])
-            )
+            starts, ends = token_map.starts, token_map.ends
+            assert len(starts) == len(ends) == len(token_map)
+            for start, end in zip(starts, ends):
+                token = text[start:end]
+                assert token and not any(c.isspace() for c in token)
+            assert all(prev <= nxt for prev, nxt in zip(ends, starts[1:]))
             assert token_map.source_length == len(text)
 
 
