@@ -199,6 +199,8 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
         raise CorpusError(f"id(s) not found in {args.input}: {missing}")
     focal = by_id[args.focal]
     refs = [by_id[rid] for rid in ref_ids]
+    # Both providers validate --rules and --categories, used or not.
+    config = _detector_config(args)
 
     if args.provider == "vectors":
         if not args.vectors:
@@ -208,7 +210,6 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
         spans_for = {}
     else:
         provider = BuiltinProvider(dimension=args.dim)
-        config = _detector_config(args)
         spans_for = {
             r.id: to_rem_spans(detect(r.text, config)) for r in [focal, *refs]
         }

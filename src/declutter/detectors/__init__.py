@@ -12,10 +12,11 @@ anchors ``^``, ``$`` and ``\\b``. Lookaround, backreferences, named groups,
 inline flags, possessive quantifiers and atomic groups are rejected so packs
 stay portable across regex engines.
 
-Each rule also gets a prescreen trigger, derived from the same parse: a tuple
-of case-folded literals, one of which every match contains once case folded.
-``detect`` runs a rule's regex only on texts whose case-folded form contains
-one of them.
+Each rule also gets a prescreen trigger, derived from the same parse: a
+conjunction of clauses, each a set of literals of which every match contains
+one, either verbatim (exact) or once casefolded (folded). ``detect`` runs a
+rule's regex only on texts where every clause has a member: an exact one in
+the text, a folded one in ``text.casefold()``.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries;
@@ -112,33 +113,48 @@ def _not_allowed(where: str, what: str) -> DetectorError:
     )
 
 
-def _literal_sets(seq, where: str) -> list[tuple[bool, tuple[str, ...]]]:
+def _literal_sets(seq, where: str, lead: Iterable = ()) -> list[tuple]:
     """Check a parsed pattern sequence against the engine-neutral subset and
-    return its mandatory case-folded literal sets, in pattern order.
+    return its mandatory literal sets, in pattern order.
 
-    A set tagged ``True`` is one contiguous run; one tagged ``False`` holds the
-    longest run of each alternative of a branch. Every match of ``seq``, case
-    folded, contains every run and a member of every branch set. Optional
-    parts (minimum-zero repeats, alternatives nested in alternatives) are
-    checked but contribute nothing.
+    A literal is a ``(string, folded)`` pair. An exact literal (``folded``
+    False) occurs verbatim in every match; a folded one occurs in the match's
+    ``str.casefold()`` form. A set of one literal is one contiguous run of
+    ``LITERAL`` nodes and classes whose members fold alike; it stays exact
+    only if every class in it has a single member, and once folded the whole
+    run is folded. A set of several literals holds one run of each
+    alternative of a branch, the alternative's longest; the run directly
+    before the branch, which sre factors out of alternatives sharing a
+    prefix, is passed to each alternative as ``lead`` and starts its leading
+    run. Every match of ``seq``, preceded by ``lead``, contains a member of
+    every set. Optional parts (minimum-zero repeats) are checked but
+    contribute nothing.
     """
-    found: list[tuple[bool, tuple[str, ...]]] = []
-    run: list[str] = []
+    found: list[tuple] = []
+    run: list[tuple[str, bool]] = list(lead)  # (character, folded) pairs
     for op, av in seq:
         kind = op.name
         if kind not in _ALLOWED_NODES:
             name = _NODE_NAMES.get(kind, kind.lower().replace("_", " "))
             raise _not_allowed(where, name)
         if kind == "LITERAL":
-            run.append(chr(av).casefold())
+            run.append((chr(av), False))
             continue
         if kind == "IN":  # a class extends the run iff all its members fold alike
-            folds = {chr(v).casefold() if o.name == "LITERAL" else None for o, v in av}
-            if len(folds) == 1 and None not in folds:
-                run.append(folds.pop())
+            chars = {chr(v) if o.name == "LITERAL" else None for o, v in av}
+            if None not in chars and len({c.casefold() for c in chars}) == 1:
+                run.append((min(chars), len(chars) > 1))
                 continue
+        if kind == "BRANCH":
+            members = set()
+            for alt in av[1]:
+                runs = [s[0] for s in _literal_sets(alt, where, run) if len(s) == 1]
+                members.add(max(runs, key=lambda lit: len(lit[0]), default=("", False)))
+            found.append(tuple(sorted(members)))
+            run = []
+            continue
         if run:
-            found.append((True, ("".join(run),)))
+            found.append((_run_literal(run),))
             run = []
         if kind == "SUBPATTERN":
             if av[1] or av[2]:
@@ -148,41 +164,41 @@ def _literal_sets(seq, where: str) -> list[tuple[bool, tuple[str, ...]]]:
             inner = _literal_sets(av[2], where)
             if av[0] >= 1:
                 found += inner
-        elif kind == "BRANCH":
-            bests = set()
-            for alt in av[1]:
-                runs = [lits[0] for is_run, lits in _literal_sets(alt, where) if is_run]
-                bests.add(max(runs, key=len, default=""))
-            found.append((False, tuple(sorted(bests))))
     if run:
-        found.append((True, ("".join(run),)))
+        found.append((_run_literal(run),))
     return found
 
 
-def _trigger(sets: list[tuple[bool, tuple[str, ...]]]) -> tuple[str, ...] | None:
-    """Pick the prescreen literals among a rule's mandatory literal sets.
+def _run_literal(run: list[tuple[str, bool]]) -> tuple[str, bool]:
+    text = "".join(c for c, _ in run)
+    if any(folded for _, folded in run):
+        return text.casefold(), True
+    return text, False
 
-    Short literals are too common to prescreen on, so every member must have
-    at least three characters, unless the set is a run with a distinctive
-    non-ASCII character such as the copyright sign. Of the usable sets, the
-    one whose shortest member is longest wins, a run winning a tie.
+
+def _trigger(sets: list[tuple]) -> tuple[tuple, ...] | None:
+    """Turn a rule's mandatory literal sets into its prescreen trigger: a
+    conjunction of clauses, each a tuple of ``(string, folded)`` literals.
+
+    Every set without an empty member is a clause, however short its
+    literals. Duplicates go, and clauses are ordered fewest members first,
+    then longest shortest member first, so the clause most likely to fail
+    and cheapest to test comes first. None when no set qualifies.
     """
-    usable = [
-        (min(map(len, lits)), is_run, lits)
-        for is_run, lits in sets
-        if all(len(s) >= 3 for s in lits) or (is_run and not lits[0].isascii())
-    ]
-    return max(usable, key=lambda u: u[:2])[2] if usable else None
+    clauses = dict.fromkeys(s for s in sets if all(lit for lit, _ in s))
+    order = sorted(clauses, key=lambda c: (len(c), -min(len(lit) for lit, _ in c)))
+    return tuple(order) or None
 
 
 def _compile_rule(pattern: str, where: str) -> tuple[re.Pattern, tuple | None]:
     """Parse ``pattern`` once, check it, and compile it along with its
     prescreen trigger, derived from the same parse tree.
 
-    The trigger is a tuple of case-folded literals, one of which occurs in the
-    case-folded form of every text the regex matches in, so skipping the regex
-    when none occurs can never drop a detection. It is None when the pattern
-    has no usable mandatory literal.
+    Every clause of the trigger has a member in every text the regex matches
+    in: an exact literal in the text itself, a folded one in its casefolded
+    form. Skipping the regex when some clause has no member there can never
+    drop a detection. The trigger is None when the pattern has no mandatory
+    literal.
     """
     # Besides re.error: a{99999999999} overflows, and thousands of nested
     # groups exhaust the parser's stack.
@@ -318,6 +334,17 @@ def _sentence_bounds(text: str, start: int, end: int) -> tuple[int, int]:
     return s, e
 
 
+def _passes(trigger: tuple[tuple, ...], haystacks: tuple[str, str]) -> bool:
+    """Whether every clause of ``trigger`` has a member in its haystack."""
+    for clause in trigger:
+        for literal, folded in clause:
+            if literal in haystacks[folded]:
+                break
+        else:
+            return False
+    return True
+
+
 def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     """Run every enabled category's rules over ``text``.
 
@@ -327,16 +354,12 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     """
     if config is None:
         config = DetectorConfig()
-    folded = text.casefold()
+    haystacks = (text, text.casefold())  # indexed by a literal's ``folded``
     detections: list[Detection] = []
     seen: set[tuple] = set()
     for category, rule_id, regex, trigger in _compiled_rules(config):
-        if trigger is not None:
-            for literal in trigger:
-                if literal in folded:
-                    break
-            else:
-                continue
+        if trigger is not None and not _passes(trigger, haystacks):
+            continue
         for m in regex.finditer(text):
             s, e = m.span()
             if s == e:

@@ -292,9 +292,8 @@ class TestRankCompare:
         assert rc == 1
         assert "not found" in err
 
-    def test_vectors_provider(self, write_jsonl, capsys):
-        corpus = self._corpus(write_jsonl)
-        vectors = write_jsonl(
+    def _vectors(self, write_jsonl):
+        return write_jsonl(
             [
                 {"id": "f", "values": [1.0, 0.0]},
                 {"id": "f::cleaned", "values": [0.0, 1.0]},
@@ -307,12 +306,42 @@ class TestRankCompare:
             ],
             name="vectors.jsonl",
         )
+
+    def test_vectors_provider(self, write_jsonl, capsys):
+        corpus = self._corpus(write_jsonl)
         rc, out, _ = run(
             capsys, "rank-compare", "--input", corpus, "--focal", "f",
-            "--refs", "a,b,c", "--provider", "vectors", "--vectors", vectors,
+            "--refs", "a,b,c", "--provider", "vectors",
+            "--vectors", self._vectors(write_jsonl),
         )
         assert rc == 0
         assert "order before: b, a, c" in out
+
+    def test_vectors_provider_rejects_unknown_category(self, write_jsonl, capsys):
+        corpus = self._corpus(write_jsonl)
+        rc, out, err = run(
+            capsys, "rank-compare", "--input", corpus, "--focal", "f",
+            "--refs", "a,b,c", "--provider", "vectors",
+            "--vectors", self._vectors(write_jsonl), "--categories", "bogus",
+        )
+        assert rc == 1
+        assert "unknown category 'bogus'" in err
+        assert out == ""
+
+    def test_vectors_provider_rejects_empty_rules_dir(
+        self, write_jsonl, tmp_path, capsys
+    ):
+        corpus = self._corpus(write_jsonl)
+        empty = tmp_path / "no_packs"
+        empty.mkdir()
+        rc, out, err = run(
+            capsys, "rank-compare", "--input", corpus, "--focal", "f",
+            "--refs", "a,b,c", "--provider", "vectors",
+            "--vectors", self._vectors(write_jsonl), "--rules", str(empty),
+        )
+        assert rc == 1
+        assert "no .rules files" in err
+        assert out == ""
 
     def test_vectors_flag_required(self, write_jsonl, capsys):
         corpus = self._corpus(write_jsonl)

@@ -30,52 +30,86 @@ def parses(pattern):
     return True
 
 
-# The prescreen trigger of every built-in rule.
+def E(*literals):
+    """Exact trigger literals, tested against the text itself."""
+    return tuple((literal, False) for literal in literals)
+
+
+def F(*literals):
+    """Folded trigger literals, tested against ``text.casefold()``."""
+    return tuple((literal, True) for literal in literals)
+
+
+# The prescreen trigger of every built-in rule: its clauses in check order.
 BUILTIN_TRIGGERS = {
-    "bracket_refs": None,
-    "arxiv_id": ("arxiv",),
-    "doi_ref": ("10.",),
-    "journal_vol_pages": None,
-    "vol_pages": ("vol",),
-    "copyright_sign": ("©",),
-    "copyright_c_paren": ("(c)",),
-    "copyright_word": ("copyright",),
-    "all_rights_reserved": ("all rights reserved",),
-    "licensee": ("licensee",),
-    "funding_lead": ("funding",),
-    "funded_by": ("financed", "funded", "sponsored", "supported"),
-    "support_from": ("financial support ", "supported by "),
-    "grant_no": ("grant",),
-    "paren_figtab": None,
-    "jel_codes": ("jel",),
-    "keywords_list": ("word",),
-    "index_terms": ("ndex terms",),
-    "pacs_codes": ("pacs",),
-    "msc_codes": None,
-    "payment_order": ("payment must accompany order",),
-    "reprint_orders": ("available ", "to order reprints"),
-    "single_copies": ("single copies ",),
-    "ctgov_nct": ("nct",),
-    "trial_reg_sentence": ("registration",),
-    "isrctn": ("isrctn",),
-    "prospero": ("crd42",),
-    "eudract": ("eudract",),
-    "registered_at": ("registered ",),
-    "heading_lead": ("abstract", "summary"),
+    "copyright_sign": (E("©"),),
+    "copyright_c_paren": (F("(c)"), E("19", "20")),
+    "copyright_word": (F("copyright"), E("19", "20")),
+    "all_rights_reserved": (F("all rights reserved"),),
+    "licensee": (F("licensee"),),
+    "payment_order": (F("payment must accompany order"),),
+    "reprint_orders": (F("reprint", "to order reprints"),),
+    "single_copies": (
+        F("single copies "), E("are", "may be"),
+        E(" available", " ordered", " purchased"),
+    ),
+    "heading_lead": (E("ABSTRACT", "Abstract", "SUMMARY", "Summary"),),
     "heading_embedded": (
-        " samples", "aim", "background", "conclusion", "discussion", "findings",
-        "implications", "intervention", "introduction", "limitations",
-        "main outcome measure", "materials and methods", "method", "methodology",
-        "objective", "participants", "purpose", "result", "setting",
-        "significance", "study design",
+        E("-", ":"),
+        E(
+            "Aim", "Background", "Conclusion", "Discussion", "Findings",
+            "Implications", "Intervention", "Introduction", "Limitations",
+            "Method", "Methodology", "Objective", "Participants", "Purpose",
+            "Result", "Setting", "Significance",
+        )
+        + F(" samples", "main outcome measure", "materials and methods", "study design"),
     ),
     "heading_caps": (
-        "aim", "background", "conclusion", "discussion", "findings",
-        "introduction", "method", "objective", "points", "purpose", "result",
+        E(
+            "AIM", "BACKGROUND", "CONCLUSION", "DISCUSSION", "FINDINGS",
+            "INTRODUCTION", "METHOD", "OBJECTIVE", "POINTS", "PURPOSE", "RESULT",
+        ),
     ),
-    "translation_of": (" is a translation of",),
-    "translated_from": ("translated ",),
-    "orig_published": ("originally published in",),
+    "jel_codes": (E("JEL"),),
+    "keywords_list": (E("WORD") + F("word"),),
+    "index_terms": (E("INDEX TERMS") + F("index terms"),),
+    "pacs_codes": (E("PACS"), E(":")),
+    "msc_codes": (E(":"), E("MSC", "Mathematics Subject Classification")),
+    "ctgov_nct": (E("NCT"),),
+    "trial_reg_sentence": (F("registration"), F("clinical trial", "study", "trial")),
+    "isrctn": (E("ISRCTN"),),
+    "prospero": (E("CRD42"),),
+    "eudract": (E("EudraCT"), E("-")),
+    "registered_at": (
+        F("registered at", "registered in", "registered on", "registered with"),
+        E("ClinicalTrials.gov", "EudraCT", "ISRCTN", "PROSPERO"),
+    ),
+    "translation_of": (
+        E(" is a translation of"),
+        F(
+            "this abstract", "this article", "this paper", "this publication",
+            "this text", "this work",
+        ),
+    ),
+    "translated_from": (E(" "), E("Translated by arrangement with", "Translated from")),
+    "orig_published": (F("originally published in"),),
+    "funding_lead": (E(":"), E("FUNDING") + F("funding")),
+    "funded_by": (
+        E(" by"), E(" has been", " is", " was"),
+        E("financed", "funded", "sponsored", "supported"),
+        F("this project", "this publication", "this research", "this study", "this work"),
+    ),
+    "support_from": (F("financial support ", "supported by "),),
+    "grant_no": (F("grant"), F("no", "number")),
+    "paren_figtab": (
+        E("("), E(")"),
+        F("appendix", "eq", "equation", "fig", "figure", "scheme", "tab", "table"),
+    ),
+    "bracket_refs": (E("["), E("]")),
+    "arxiv_id": (E("arXiv"), E(":"), E(".", "/")),
+    "doi_ref": (E("10."), E(":"), E("/"), E("DOI", "Doi", "doi")),
+    "journal_vol_pages": (E("("), E(")")),
+    "vol_pages": (F("vol"), E("p"), E(".")),
 }
 
 # Text pieces for the prescreen differential test: a match of every built-in
@@ -101,6 +135,7 @@ RULE_FRAGMENTS = [
     "This paper is a translation of", "Translated from the German",
     "Originally published in", "zzqyy", "quuxyy", "zzlongwordyy", "xyzwwdef",
     "optionalxyzw", "abEFgh", "cdefgh", "wxyz", "alphadelt", "betagammadelt",
+    "QXabyy", "QXcdyy", "QXab", "QX5ef", "ZETAKappa", "ZETAkappa", "wq(7)",
 ]
 NEAR_MISSES = [
     "copyrighted", "all rights", "licensees 3", "funding source", "supported the",
@@ -110,6 +145,14 @@ NEAR_MISSES = [
     "methods-based", "RESULTSX", "translation", "translated", "originally",
     "arXiv", "doi 10.", "vol", "(c)", "Vol. 3", "zzlongword", "quuxy",
     "optiona", "xyz", "cdeFg", "wxy", "alphadel",
+    # Heading words apart from their ':' or '-', and case near misses.
+    "Results show", "Methods differ", "claim", "Aims and", "RESULTS ARE",
+    "Background", "Conclusion", "METHODS", ":", "-", " -",
+    "M SC", "msc", "Msc", "MSC", "Mathematics subject classification",
+    # Parentheses and brackets without digits.
+    "(see above)", "( )", "(Fig.)", "(Table)", "[ref]", "[]", "[a, b]", "(", "]",
+    "QXcd yy", "qxcdyy", "QXef", "QX ef", "ZETA", "zetakappa", "Zeta Kappa",
+    "wq(x)", "wq()", "wq(", "7)",
 ]
 FOLD_NOISE = [
     "ß", "ẞ", "STRASSE", "straße", "İ", "i̇", "ı", "Σ", "σ", "ς", "ΟΔΟΣ", "οδος",
@@ -131,6 +174,14 @@ CUSTOM_RULES = (
     ("citation", "(?:optional)?xyzw+?(?:abc|def)*"),
     ("section_heading", "(?:ab|cd)[Ee][Ff]gh|wxyz"),
     ("internal_ref", "(alpha|betagamma)delt"),
+    # sre factors the shared prefix QX out of the branch; the second rule has
+    # an alternative that does not start with a literal.
+    ("citation", "(?:QXab|QXcd)yy"),
+    ("order_info", "(?:QXab|QX[0-9]ef)"),
+    # An exact run that turns folded mid-run.
+    ("funding", "ZETA[Kk]appa"),
+    # A mandatory one-character clause.
+    ("registration", r"wq\([0-9]\)"),
 )
 CASINGS = (
     lambda s, rng: s,
@@ -382,12 +433,18 @@ class TestRulePacks:
         """Seeded differential test of the prescreen: on random texts, detect
         with triggers equals detect with every trigger removed."""
         rng = random.Random(20240611)
-        triggers = [t for t in BUILTIN_TRIGGERS.values() if t is not None]
+        configs = (DetectorConfig(), DetectorConfig(custom_rules=CUSTOM_RULES))
+        literals = [
+            literal
+            for *_, trigger in _compiled_rules(configs[1])
+            for clause in trigger
+            for literal, _folded in clause
+        ]
         golden = [r.text for r in load_corpus(str(golden_path))]
         pools = [
             golden,
             [sentence for text in golden for sentence in text.split(". ")],
-            [literal for trigger in triggers for literal in trigger],
+            [casing(literal, rng) for literal in literals for casing in CASINGS],
             RULE_FRAGMENTS,
             NEAR_MISSES,
             FOLD_NOISE,
@@ -400,7 +457,6 @@ class TestRulePacks:
                 pieces.append(rng.choice(CASINGS)(piece, rng))
                 pieces.append(rng.choice(SEPARATORS))
             texts.append("".join(pieces))
-        configs = (DetectorConfig(), DetectorConfig(custom_rules=CUSTOM_RULES))
 
         results, runs = detect_counting_runs(monkeypatch, texts, configs)
         _compiled_rules.cache_clear()
@@ -413,25 +469,49 @@ class TestRulePacks:
 
         for text, got, want in zip(texts, results, oracle):
             assert got == want, text
-        # Not vacuous: every triggered rule was skipped on some text, and
-        # every category detected something.
+        # Not vacuous: every rule was skipped on some text, and every
+        # category detected something.
         for config in configs:
-            for _category, rule_id, _regex, trigger in _compiled_rules(config):
-                if trigger is not None:
-                    assert runs[rule_id] < oracle_runs[rule_id], rule_id
+            for _category, rule_id, _regex, _trigger in _compiled_rules(config):
+                assert runs[rule_id] < oracle_runs[rule_id], rule_id
         found = {d.category for per_config in results for d in per_config[0]}
         assert found == set(CATEGORY_REGISTRY)
         assert {d.rule_id for per_config in results for d in per_config[1]} >= {
             f"custom_{i}" for i in range(len(CUSTOM_RULES))
         }
 
-    def test_untriggered_rules_are_exactly_the_known_four(self):
+    def test_trigger_table_is_pinned(self):
         """Trigger derivation reads the private sre parse tree. Pin the whole
-        derived table, including which four rules have no trigger, so a change
-        in the tree's shape or in the derivation shows up here."""
+        derived table, clause order and exact or folded literals included, so
+        a change in the tree's shape or in the derivation shows up here."""
+
+        def members_sorted(trigger):
+            return tuple(tuple(sorted(clause)) for clause in trigger)
+
         rules = _compiled_rules(DetectorConfig())
         table = {rule_id: trigger for _category, rule_id, _regex, trigger in rules}
-        assert table == BUILTIN_TRIGGERS
+        assert None not in table.values()
+        assert {r: members_sorted(t) for r, t in table.items()} == {
+            r: members_sorted(t) for r, t in BUILTIN_TRIGGERS.items()
+        }
+
+    def test_prescreen_skips_rules_whose_literals_are_absent(self, monkeypatch):
+        """Case-exact headings, conjunctive punctuation and the joined MSC
+        prefix keep these rules off a text with only their near misses."""
+        text = (
+            "Results show that the films grew. Methods differ across samples. "
+            "Data were measured in 2019. Study of copyright law and funding rates."
+        )
+        skipped = (
+            "heading_embedded", "heading_caps", "journal_vol_pages", "msc_codes",
+            "bracket_refs", "paren_figtab", "funding_lead",
+        )
+        _, runs = detect_counting_runs(monkeypatch, [text], [DetectorConfig()])
+        assert {rule_id: runs[rule_id] for rule_id in skipped} == dict.fromkeys(
+            skipped, 0
+        )
+        # Not vacuous: both clauses of copyright_word are met, so it runs.
+        assert runs["copyright_word"] == 1
 
 
 class TestToRemSpans:
