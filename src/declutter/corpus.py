@@ -41,10 +41,6 @@ class AbstractMeta:
             raise ValueError(f"year {self.year} outside [1900, 2100]")
         object.__setattr__(self, "fields", tuple(self.fields))
 
-    @property
-    def is_empty(self) -> bool:
-        return self.year is None and not self.fields and self.source is None
-
 
 @dataclass(frozen=True)
 class LabeledAbstract:
@@ -131,18 +127,43 @@ def iter_jsonl(
     path: str, error: type[DeclutterError]
 ) -> Iterator[tuple[str, object]]:
     """Yield ``(where, obj)`` for each non-blank line of a JSON Lines file,
-    ``where`` being ``"{path}:{line}"``; a line that is not JSON raises
-    ``error`` naming it."""
+    ``where`` being ``"{path}:{line}"``. A line that is not UTF-8, not JSON,
+    or holds a lone surrogate escape (``"\\ud800"``, which no UTF-8 output
+    can hold) raises ``error`` naming it."""
     with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"{where}: malformed line: {exc}") from exc
+                # A one-character search is the fast test: most lines hold
+                # no escape at all.
+                if "\\" in line and ("\\ud" in line or "\\uD" in line):
+                    try:
+                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        code = ord(exc.object[exc.start])
+                        raise error(f"{where}: lone surrogate U+{code:04X}") from None
+                yield where, obj
+        except UnicodeDecodeError:
+            raise utf8_error(path, error) from None
+
+
+def utf8_error(path: str, error: type[DeclutterError]) -> DeclutterError:
+    """``error`` naming the first line of ``path`` that is not UTF-8, and
+    its first undecodable byte. Lines are counted as text-mode reading
+    counts them."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{where}: malformed line: {exc}") from exc
-            yield where, obj
+            for ch in line:
+                if "\udc80" <= ch <= "\udcff":
+                    byte = ord(ch) - 0xDC00
+                    return error(f"{path}:{lineno}: not UTF-8 (byte 0x{byte:02X})")
+    return error(f"{path}: not UTF-8")
 
 
 def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:

@@ -13,10 +13,9 @@ inline flags, possessive quantifiers and atomic groups are rejected so packs
 stay portable across regex engines.
 
 Each rule also gets a prescreen trigger, derived from the same parse: a
-conjunction of clauses, each a set of literals of which every match contains
-one, either verbatim (exact) or once casefolded (folded). ``detect`` runs a
-rule's regex only on texts where every clause has a member: an exact one in
-the text, a folded one in ``text.casefold()``.
+conjunction of clauses, each a set of literal strings of which every match
+contains one verbatim. ``detect`` runs a rule's regex only on texts that hold
+a member of every clause.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries;
@@ -39,7 +38,7 @@ except ImportError:  # pragma: no cover - Python <= 3.10
     import sre_compile as _sre_compile
     import sre_parse as _sre_parse
 
-from ..corpus import load_corpus
+from ..corpus import load_corpus, utf8_error
 from ..errors import DetectorError
 from ..textspan import Span, filter_spans
 
@@ -113,16 +112,13 @@ def _not_allowed(where: str, what: str) -> DetectorError:
     )
 
 
-def _literal_sets(seq, where: str, lead: Iterable = ()) -> list[tuple]:
+def _literal_sets(seq, where: str, lead: str = "") -> list[tuple[str, ...]]:
     """Check a parsed pattern sequence against the engine-neutral subset and
     return its mandatory literal sets, in pattern order.
 
-    A literal is a ``(string, folded)`` pair. An exact literal (``folded``
-    False) occurs verbatim in every match; a folded one occurs in the match's
-    ``str.casefold()`` form. A set of one literal is one contiguous run of
-    ``LITERAL`` nodes and classes whose members fold alike; it stays exact
-    only if every class in it has a single member, and once folded the whole
-    run is folded. A set of several literals holds one run of each
+    A literal is a string that occurs verbatim in every match. A set of one
+    literal is one maximal run of ``LITERAL`` nodes; any class ends a run,
+    ``[Cc]`` included. A set of several literals holds one run of each
     alternative of a branch, the alternative's longest; the run directly
     before the branch, which sre factors out of alternatives sharing a
     prefix, is passed to each alternative as ``lead`` and starts its leading
@@ -130,32 +126,27 @@ def _literal_sets(seq, where: str, lead: Iterable = ()) -> list[tuple]:
     every set. Optional parts (minimum-zero repeats) are checked but
     contribute nothing.
     """
-    found: list[tuple] = []
-    run: list[tuple[str, bool]] = list(lead)  # (character, folded) pairs
+    found: list[tuple[str, ...]] = []
+    run = lead
     for op, av in seq:
         kind = op.name
         if kind not in _ALLOWED_NODES:
             name = _NODE_NAMES.get(kind, kind.lower().replace("_", " "))
             raise _not_allowed(where, name)
         if kind == "LITERAL":
-            run.append((chr(av), False))
+            run += chr(av)
             continue
-        if kind == "IN":  # a class extends the run iff all its members fold alike
-            chars = {chr(v) if o.name == "LITERAL" else None for o, v in av}
-            if None not in chars and len({c.casefold() for c in chars}) == 1:
-                run.append((min(chars), len(chars) > 1))
-                continue
         if kind == "BRANCH":
             members = set()
             for alt in av[1]:
                 runs = [s[0] for s in _literal_sets(alt, where, run) if len(s) == 1]
-                members.add(max(runs, key=lambda lit: len(lit[0]), default=("", False)))
+                members.add(max(runs, key=len, default=""))
             found.append(tuple(sorted(members)))
-            run = []
+            run = ""
             continue
         if run:
-            found.append((_run_literal(run),))
-            run = []
+            found.append((run,))
+            run = ""
         if kind == "SUBPATTERN":
             if av[1] or av[2]:
                 raise _not_allowed(where, "inline flags")
@@ -165,40 +156,33 @@ def _literal_sets(seq, where: str, lead: Iterable = ()) -> list[tuple]:
             if av[0] >= 1:
                 found += inner
     if run:
-        found.append((_run_literal(run),))
+        found.append((run,))
     return found
 
 
-def _run_literal(run: list[tuple[str, bool]]) -> tuple[str, bool]:
-    text = "".join(c for c, _ in run)
-    if any(folded for _, folded in run):
-        return text.casefold(), True
-    return text, False
-
-
-def _trigger(sets: list[tuple]) -> tuple[tuple, ...] | None:
+def _trigger(sets: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
     """Turn a rule's mandatory literal sets into its prescreen trigger: a
-    conjunction of clauses, each a tuple of ``(string, folded)`` literals.
+    conjunction of clauses, each a tuple of literals.
 
     Every set without an empty member is a clause, however short its
     literals. Duplicates go, and clauses are ordered fewest members first,
     then longest shortest member first, so the clause most likely to fail
-    and cheapest to test comes first. None when no set qualifies.
+    and cheapest to test comes first. A rule with no such set gets the empty
+    trigger ``()``, which every text meets.
     """
-    clauses = dict.fromkeys(s for s in sets if all(lit for lit, _ in s))
-    order = sorted(clauses, key=lambda c: (len(c), -min(len(lit) for lit, _ in c)))
-    return tuple(order) or None
+    clauses = dict.fromkeys(s for s in sets if all(s))
+    return tuple(sorted(clauses, key=lambda c: (len(c), -min(map(len, c)))))
 
 
-def _compile_rule(pattern: str, where: str) -> tuple[re.Pattern, tuple | None]:
+def _compile_rule(pattern: str, where: str) -> tuple[re.Pattern, tuple]:
     """Parse ``pattern`` once, check it, and compile it along with its
     prescreen trigger, derived from the same parse tree.
 
-    Every clause of the trigger has a member in every text the regex matches
-    in: an exact literal in the text itself, a folded one in its casefolded
-    form. Skipping the regex when some clause has no member there can never
-    drop a detection. The trigger is None when the pattern has no mandatory
-    literal.
+    Inline flags are rejected, so no rule turns on IGNORECASE and a
+    ``LITERAL`` node matches exactly its own code point: every clause of the
+    trigger has a member in every text the regex matches in, and skipping
+    the regex when some clause has none can never drop a detection. The
+    trigger is ``()`` when the pattern has no mandatory literal.
     """
     # Besides re.error: a{99999999999} overflows, and thousands of nested
     # groups exhaust the parser's stack.
@@ -251,8 +235,11 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
         if not paths:
             raise DetectorError(f"no .rules files found in {rules_dir!r}")
         for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                rules.extend(_parse_pack(fh, str(path)))
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    rules.extend(_parse_pack(fh, str(path)))
+            except UnicodeDecodeError:
+                raise utf8_error(str(path), DetectorError) from None
     return rules
 
 
@@ -334,11 +321,12 @@ def _sentence_bounds(text: str, start: int, end: int) -> tuple[int, int]:
     return s, e
 
 
-def _passes(trigger: tuple[tuple, ...], haystacks: tuple[str, str]) -> bool:
-    """Whether every clause of ``trigger`` has a member in its haystack."""
+def _passes(trigger: tuple[tuple[str, ...], ...], text: str) -> bool:
+    """Whether every clause of ``trigger`` has a member in ``text``; true for
+    the empty trigger."""
     for clause in trigger:
-        for literal, folded in clause:
-            if literal in haystacks[folded]:
+        for literal in clause:
+            if literal in text:
                 break
         else:
             return False
@@ -354,11 +342,10 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     """
     if config is None:
         config = DetectorConfig()
-    haystacks = (text, text.casefold())  # indexed by a literal's ``folded``
     detections: list[Detection] = []
     seen: set[tuple] = set()
     for category, rule_id, regex, trigger in _compiled_rules(config):
-        if trigger is not None and not _passes(trigger, haystacks):
+        if not _passes(trigger, text):
             continue
         for m in regex.finditer(text):
             s, e = m.span()

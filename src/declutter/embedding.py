@@ -57,8 +57,6 @@ class BuiltinProvider:
     """Hashed bag-of-words embeddings; see the module docstring for the exact
     hash and weighting. Immutable after construction and safe to share."""
 
-    name = "builtin"
-
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
         if dimension < 1:
             raise EmbeddingError("dimension must be >= 1")
@@ -101,8 +99,6 @@ class ExternalVectorProvider:
     line; all vectors must share one dimension. Vectors of cleaned texts are
     stored under ``<id>::cleaned``.
     """
-
-    name = "external-vectors"
 
     def __init__(self, vectors: Mapping[str, EmbeddingVector]):
         dims = {v.dimension for v in vectors.values()}

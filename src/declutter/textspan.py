@@ -30,13 +30,6 @@ class Span:
                 f"invalid span [{self.start}, {self.end}): need 0 <= start < end"
             )
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class TokenMap:

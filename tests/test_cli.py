@@ -130,6 +130,66 @@ class TestClean:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestUndecodableInput:
+    """Input that no UTF-8 text can hold fails with ``error: <path>:<line>``
+    and exit 1, never a traceback or a partial output file."""
+
+    GOOD = b'{"id": "a", "text": "Plain text.", "spans": []}\n'
+
+    def test_corpus_byte_not_utf8(self, tmp_path, capsys):
+        corpus = tmp_path / "latin1.jsonl"
+        corpus.write_bytes(self.GOOD + b'{"id": "b", "text": "caf\xe9.", "spans": []}\n')
+        out = tmp_path / "out.jsonl"
+        expected = f"error: {corpus}:2: not UTF-8 (byte 0xE9)\n"
+        for argv in (
+            ("clean", "--input", str(corpus), "--output", str(out)),
+            ("stats", "--input", str(corpus)),
+            ("eval", "--gold", str(corpus), "--pred", str(corpus)),
+        ):
+            assert run(capsys, *argv) == (1, "", expected), argv
+        assert not out.exists()
+
+    def test_vectors_byte_not_utf8(self, write_jsonl, tmp_path, capsys):
+        corpus = write_jsonl(
+            [
+                {"id": "f", "text": "Focal text.", "spans": []},
+                {"id": "a", "text": "Some text.", "spans": []},
+                {"id": "b", "text": "Other text.", "spans": []},
+            ]
+        )
+        vectors = tmp_path / "v.jsonl"
+        vectors.write_bytes(b'{"id": "f", "values": [1.0]}\n{"id": "a", "values": [\xff]}\n')
+        rc, out, err = run(
+            capsys, "rank-compare", "--input", corpus, "--focal", "f",
+            "--refs", "a,b", "--provider", "vectors", "--vectors", str(vectors),
+        )
+        assert (rc, out, err) == (1, "", f"error: {vectors}:2: not UTF-8 (byte 0xFF)\n")
+
+    def test_rule_pack_not_utf8(self, write_jsonl, tmp_path, capsys):
+        rules = tmp_path / "rules"
+        rules.mkdir()
+        pack = rules / "latin1.rules"
+        pack.write_bytes(b"# Regeln f\xfcr Copyright\nr1\tcopyright\tZAPME\n")
+        out = tmp_path / "out.jsonl"
+        rc, _, err = run(
+            capsys, "clean", "--input", write_jsonl([]), "--output", str(out),
+            "--rules", str(rules),
+        )
+        assert (rc, err) == (1, f"error: {pack}:1: not UTF-8 (byte 0xFC)\n")
+        assert not out.exists()
+
+    def test_lone_surrogate_escape_rejected_before_output(self, tmp_path, capsys):
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_bytes(
+            self.GOOD
+            + b'{"id":"b","text":"Body \\ud800 text. \xc2\xa9 2020 Elsevier.","spans":[]}\n'
+        )
+        out = tmp_path / "out.jsonl"
+        rc, _, err = run(capsys, "clean", "--input", str(corpus), "--output", str(out))
+        assert (rc, err) == (1, f"error: {corpus}:2: lone surrogate U+D800\n")
+        assert not out.exists()
+
+
 class TestEval:
     def _gold(self, write_jsonl):
         return write_jsonl(

@@ -22,7 +22,8 @@ def test_load_minimal_record(write_jsonl):
     assert records[0].id == "a1"
     assert records[0].text == "Hi."
     assert records[0].spans == ()
-    assert records[0].meta.is_empty
+    meta = records[0].meta
+    assert (meta.year, meta.fields, meta.source) == (None, (), None)
 
 
 def test_load_span_out_of_bounds(write_jsonl):
@@ -61,6 +62,18 @@ def test_load_malformed_line_reports_number(write_jsonl, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a1", "text": "ok", "spans": []}\n{oops\n', encoding="utf-8")
     with pytest.raises(CorpusError, match=r":2: malformed line"):
+        load_corpus(str(path))
+
+
+def test_lone_surrogate_escape_rejected_pairs_load(tmp_path):
+    """A paired surrogate escape and an escaped backslash before 'ud' load; a
+    lone surrogate escape, which no UTF-8 file can hold, names its line."""
+    path = tmp_path / "c.jsonl"
+    pair = r'{"id": "a", "text": "\ud83d\ude00 C:\\udata", "spans": []}' + "\n"
+    path.write_text(pair, encoding="utf-8")
+    assert load_corpus(str(path))[0].text == "\U0001F600 C:\\udata"
+    path.write_text(pair + r'{"id": "b", "text": "x \uDFFF", "spans": []}' + "\n")
+    with pytest.raises(CorpusError, match=r"c\.jsonl:2: lone surrogate U\+DFFF$"):
         load_corpus(str(path))
 
 

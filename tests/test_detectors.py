@@ -30,86 +30,78 @@ def parses(pattern):
     return True
 
 
-def E(*literals):
-    """Exact trigger literals, tested against the text itself."""
-    return tuple((literal, False) for literal in literals)
-
-
-def F(*literals):
-    """Folded trigger literals, tested against ``text.casefold()``."""
-    return tuple((literal, True) for literal in literals)
-
-
 # The prescreen trigger of every built-in rule: its clauses in check order.
 BUILTIN_TRIGGERS = {
-    "copyright_sign": (E("©"),),
-    "copyright_c_paren": (F("(c)"), E("19", "20")),
-    "copyright_word": (F("copyright"), E("19", "20")),
-    "all_rights_reserved": (F("all rights reserved"),),
-    "licensee": (F("licensee"),),
-    "payment_order": (F("payment must accompany order"),),
-    "reprint_orders": (F("reprint", "to order reprints"),),
+    "copyright_sign": (("©",),),
+    "copyright_c_paren": (("(",), (")",), ("19", "20")),
+    "copyright_word": (("opyright",), ("19", "20")),
+    "all_rights_reserved": (("eserved",), ("ights ",), ("ll ",)),
+    "licensee": (("icensee",),),
+    "payment_order": (("ayment must accompany order",),),
+    "reprint_orders": (("eprint", "o order reprints"),),
     "single_copies": (
-        F("single copies "), E("are", "may be"),
-        E(" available", " ordered", " purchased"),
+        ("ingle copies ",),
+        ("are", "may be"),
+        (" available", " ordered", " purchased"),
     ),
-    "heading_lead": (E("ABSTRACT", "Abstract", "SUMMARY", "Summary"),),
+    "heading_lead": (("ABSTRACT", "Abstract", "SUMMARY", "Summary"),),
     "heading_embedded": (
-        E("-", ":"),
-        E(
-            "Aim", "Background", "Conclusion", "Discussion", "Findings",
-            "Implications", "Intervention", "Introduction", "Limitations",
-            "Method", "Methodology", "Objective", "Participants", "Purpose",
-            "Result", "Setting", "Significance",
-        )
-        + F(" samples", "main outcome measure", "materials and methods", "study design"),
+        ("-", ":"),
+        (
+            "Aim", "Background", "Conclusion", "Discussion", "Findings", "Implications",
+            "Intervention", "Introduction", "Limitations", "Materials and ", "Method",
+            "Methodology", "Objective", "Participants", "Purpose", "Result", "Setting",
+            "Significance", "Study ", "amples", "utcome ",
+        ),
     ),
     "heading_caps": (
-        E(
-            "AIM", "BACKGROUND", "CONCLUSION", "DISCUSSION", "FINDINGS",
-            "INTRODUCTION", "METHOD", "OBJECTIVE", "POINTS", "PURPOSE", "RESULT",
+        (
+            "AIM", "BACKGROUND", "CONCLUSION", "DISCUSSION", "FINDINGS", "INTRODUCTION",
+            "METHOD", "OBJECTIVE", "POINTS", "PURPOSE", "RESULT",
         ),
     ),
-    "jel_codes": (E("JEL"),),
-    "keywords_list": (E("WORD") + F("word"),),
-    "index_terms": (E("INDEX TERMS") + F("index terms"),),
-    "pacs_codes": (E("PACS"), E(":")),
-    "msc_codes": (E(":"), E("MSC", "Mathematics Subject Classification")),
-    "ctgov_nct": (E("NCT"),),
-    "trial_reg_sentence": (F("registration"), F("clinical trial", "study", "trial")),
-    "isrctn": (E("ISRCTN"),),
-    "prospero": (E("CRD42"),),
-    "eudract": (E("EudraCT"), E("-")),
+    "jel_codes": (("JEL",),),
+    "keywords_list": (("WORD", "ord"),),
+    "index_terms": (("INDEX TERMS", "Index "),),
+    "pacs_codes": (("PACS",), (":",)),
+    "msc_codes": ((":",), ("MSC", "Mathematics Subject Classification")),
+    "ctgov_nct": (("NCT",),),
+    "trial_reg_sentence": (("egistration",), ("linical ", "rial", "tudy")),
+    "isrctn": (("ISRCTN",),),
+    "prospero": (("CRD42",),),
+    "eudract": (("EudraCT",), ("-",)),
     "registered_at": (
-        F("registered at", "registered in", "registered on", "registered with"),
-        E("ClinicalTrials.gov", "EudraCT", "ISRCTN", "PROSPERO"),
+        ("egistered at", "egistered in", "egistered on", "egistered with"),
+        ("ClinicalTrials.gov", "EudraCT", "ISRCTN", "PROSPERO"),
     ),
     "translation_of": (
-        E(" is a translation of"),
-        F(
-            "this abstract", "this article", "this paper", "this publication",
-            "this text", "this work",
+        (" is a translation of",),
+        (
+            "his abstract", "his article", "his paper", "his publication", "his text",
+            "his work",
         ),
     ),
-    "translated_from": (E(" "), E("Translated by arrangement with", "Translated from")),
-    "orig_published": (F("originally published in"),),
-    "funding_lead": (E(":"), E("FUNDING") + F("funding")),
+    "translated_from": ((" ",), ("Translated by arrangement with", "Translated from")),
+    "orig_published": (("riginally published in",),),
+    "funding_lead": ((":",), ("FUNDING", "unding")),
     "funded_by": (
-        E(" by"), E(" has been", " is", " was"),
-        E("financed", "funded", "sponsored", "supported"),
-        F("this project", "this publication", "this research", "this study", "this work"),
+        (" by",),
+        (" has been", " is", " was"),
+        ("financed", "funded", "sponsored", "supported"),
+        ("his project", "his publication", "his research", "his study", "his work"),
     ),
-    "support_from": (F("financial support ", "supported by "),),
-    "grant_no": (F("grant"), F("no", "number")),
+    "support_from": (("inancial support ", "upported by "),),
+    "grant_no": (("rant",), ("o", "umber")),
     "paren_figtab": (
-        E("("), E(")"),
-        F("appendix", "eq", "equation", "fig", "figure", "scheme", "tab", "table"),
+        ("(",),
+        (")",),
+        ("ab", "able", "cheme", "ig", "igure", "ppendix", "q", "quation"),
     ),
-    "bracket_refs": (E("["), E("]")),
-    "arxiv_id": (E("arXiv"), E(":"), E(".", "/")),
-    "doi_ref": (E("10."), E(":"), E("/"), E("DOI", "Doi", "doi")),
-    "journal_vol_pages": (E("("), E(")")),
-    "vol_pages": (F("vol"), E("p"), E(".")),
+    "bracket_refs": (("[",), ("]",)),
+    "arxiv_id": (("arXiv",), (":",), (".", "/")),
+    "doi_ref": (("10.",), (":",), ("/",), ("DOI", "Doi", "doi")),
+    "journal_vol_pages": (("(",), (")",)),
+    "vol_pages": (("ol",), ("p",), (".",)),
 }
 
 # Text pieces for the prescreen differential test: a match of every built-in
@@ -178,7 +170,7 @@ CUSTOM_RULES = (
     # an alternative that does not start with a literal.
     ("citation", "(?:QXab|QXcd)yy"),
     ("order_info", "(?:QXab|QX[0-9]ef)"),
-    # An exact run that turns folded mid-run.
+    # A case class that ends an exact run mid-word.
     ("funding", "ZETA[Kk]appa"),
     # A mandatory one-character clause.
     ("registration", r"wq\([0-9]\)"),
@@ -438,7 +430,7 @@ class TestRulePacks:
             literal
             for *_, trigger in _compiled_rules(configs[1])
             for clause in trigger
-            for literal, _folded in clause
+            for literal in clause
         ]
         golden = [r.text for r in load_corpus(str(golden_path))]
         pools = [
@@ -462,7 +454,7 @@ class TestRulePacks:
         _compiled_rules.cache_clear()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(detectors, "_trigger", lambda sets: None)
+                patch.setattr(detectors, "_trigger", lambda sets: ())
                 oracle, oracle_runs = detect_counting_runs(monkeypatch, texts, configs)
         finally:
             _compiled_rules.cache_clear()
@@ -482,15 +474,15 @@ class TestRulePacks:
 
     def test_trigger_table_is_pinned(self):
         """Trigger derivation reads the private sre parse tree. Pin the whole
-        derived table, clause order and exact or folded literals included, so
-        a change in the tree's shape or in the derivation shows up here."""
+        derived table, clause order included, so a change in the tree's shape
+        or in the derivation shows up here."""
 
         def members_sorted(trigger):
             return tuple(tuple(sorted(clause)) for clause in trigger)
 
         rules = _compiled_rules(DetectorConfig())
         table = {rule_id: trigger for _category, rule_id, _regex, trigger in rules}
-        assert None not in table.values()
+        assert () not in table.values()
         assert {r: members_sorted(t) for r, t in table.items()} == {
             r: members_sorted(t) for r, t in BUILTIN_TRIGGERS.items()
         }
@@ -512,6 +504,31 @@ class TestRulePacks:
         )
         # Not vacuous: both clauses of copyright_word are met, so it runs.
         assert runs["copyright_word"] == 1
+
+    def test_prescreen_is_case_exact(self, monkeypatch):
+        """Upper-case near misses of case-class rules hold none of their exact
+        runs, so those rules never run; their lower-case forms do."""
+        text = (
+            "ALL RIGHTS RESERVED by the board. PAYMENT MUST ACCOMPANY ORDER forms. "
+            "ORIGINALLY PUBLISHED IN 2019. LICENSEE data."
+        )
+        rules = ("all_rights_reserved", "licensee", "payment_order", "orig_published")
+        _, runs = detect_counting_runs(
+            monkeypatch, [text, text.lower()], [DetectorConfig()]
+        )
+        assert {rule_id: runs[rule_id] for rule_id in rules} == dict.fromkeys(rules, 1)
+
+    def test_rule_without_exact_run_gets_empty_trigger(self):
+        """Every literal of [Pp][Mm][Ii][Dd] sits in a class, so the rule has
+        the empty trigger, runs on every text and still detects."""
+        config = DetectorConfig(
+            enabled_categories=("citation",),
+            custom_rules=(("citation", "[Pp][Mm][Ii][Dd]"),),
+        )
+        [*_, (_category, rule_id, _regex, trigger)] = _compiled_rules(config)
+        assert (rule_id, trigger) == ("custom_0", ())
+        detections = detect("Indexed under PMID 123 and pmid 456.", config)
+        assert [(d.span.start, d.span.end) for d in detections] == [(14, 18), (27, 31)]
 
 
 class TestToRemSpans:

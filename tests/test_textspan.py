@@ -35,7 +35,7 @@ def pairwise_filter(candidates):
     ordered = sorted(candidates, key=lambda s: (-(s.end - s.start), s.start))
     kept = []
     for span in ordered:
-        if not any(span.overlaps(k) for k in kept):
+        if not any(span.start < k.end and k.start < span.end for k in kept):
             kept.append(span)
     kept.sort(key=lambda s: s.start)
     return kept
