@@ -18,6 +18,7 @@ scalar-value indices into ``text``. Two schemas are supported:
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -208,11 +209,30 @@ def _record_to_obj(record: LabeledAbstract) -> dict:
 
 def save_corpus(records: Iterable[LabeledAbstract], path: str) -> None:
     """Write records as JSON Lines; loading the file back reproduces them
-    exactly, and re-saving yields byte-identical output."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(_record_to_obj(record), ensure_ascii=False))
-            fh.write("\n")
+    exactly, and re-saving yields byte-identical output.
+
+    If writing fails, the partial output is removed when ``path`` names a
+    regular file; anything else (``/dev/stdout``, a pipe, a symlink) is left
+    alone. A record that UTF-8 cannot hold raises :class:`CorpusError`
+    naming it.
+    """
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            for record in records:
+                line = json.dumps(_record_to_obj(record), ensure_ascii=False)
+                try:
+                    fh.write(line)
+                except UnicodeEncodeError as exc:
+                    code = ord(exc.object[exc.start])
+                    raise CorpusError(
+                        f"{path}: record {record.id!r}: lone surrogate U+{code:04X}"
+                    ) from None
+                fh.write("\n")
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
 
 
 def compute_stats(records: Sequence[LabeledAbstract]) -> CorpusStats:

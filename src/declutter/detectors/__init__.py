@@ -12,19 +12,23 @@ anchors ``^``, ``$`` and ``\\b``. Lookaround, backreferences, named groups,
 inline flags, possessive quantifiers and atomic groups are rejected so packs
 stay portable across regex engines.
 
-Each rule also gets a prescreen trigger, derived from the same parse: a
-conjunction of clauses, each a set of literal strings of which every match
-contains one verbatim. ``detect`` runs a rule's regex only on texts that hold
-a member of every clause.
+Each rule also gets a two-stage prescreen, derived from the same parse. Its
+trigger is a conjunction of clauses, each a set of literal strings of which
+every match contains one verbatim; its factor, when it has one, is the part
+of the pattern from its first top-level literal on, a regex every match
+contains. ``detect`` runs a rule's regex only on texts that hold a member of
+every clause and a match of the factor.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
-translation, funding) have their raw matches extended to sentence boundaries;
-all other categories remove exactly what the pattern matched.
+translation, funding) have their raw matches extended to sentence boundaries,
+found once per text; all other categories remove exactly what the pattern
+matched.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -165,18 +169,51 @@ def _trigger(sets: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
     conjunction of clauses, each a tuple of literals.
 
     Every set without an empty member is a clause, however short its
-    literals. Duplicates go, and clauses are ordered fewest members first,
-    then longest shortest member first, so the clause most likely to fail
-    and cheapest to test comes first. A rule with no such set gets the empty
-    trigger ``()``, which every text meets.
+    literals. A member that contains another member of its clause goes, since
+    the shorter one is in every text the longer one is in. A clause goes when
+    another clause implies it, that is when every member of the other
+    contains one of its members; duplicates go too. Clauses are ordered
+    fewest members first, then longest shortest member first, so the clause
+    most likely to fail and cheapest to test comes first. A rule with no
+    such set gets the empty trigger ``()``, which every text meets.
     """
-    clauses = dict.fromkeys(s for s in sets if all(s))
-    return tuple(sorted(clauses, key=lambda c: (len(c), -min(map(len, c)))))
+    clauses = dict.fromkeys(
+        tuple(m for m in s if not any(o != m and o in m for o in s))
+        for s in sets
+        if all(s)
+    )
+
+    def implies(stronger: tuple[str, ...], weaker: tuple[str, ...]) -> bool:
+        return all(any(w in m for w in weaker) for m in stronger)
+
+    kept = [c for c in clauses if not any(d != c and implies(d, c) for d in clauses)]
+    return tuple(sorted(kept, key=lambda c: (len(c), -min(map(len, c)))))
 
 
-def _compile_rule(pattern: str, where: str) -> tuple[re.Pattern, tuple]:
+def _factor(tree) -> re.Pattern | None:
+    """The rule's necessary factor: the suffix of its top-level sequence
+    from the first ``LITERAL`` node on, compiled from the parsed ``tree``.
+
+    Every match of the pattern ``A·F`` holds a match of ``F`` where ``A``
+    ends, and ``\\b``, ``^`` and ``$`` in ``F`` test the same text there, so
+    a text in which ``F`` has no match holds no match of the rule. sre
+    searches a pattern that starts with a literal by that literal, which
+    it cannot do for a rule led by ``\\b``, a class or an optional group.
+    ``None`` when the first node is a literal (the rule itself is then
+    searched that way) or no top-level node is one.
+    """
+    for i, (op, _av) in enumerate(tree.data):
+        if op.name == "LITERAL":
+            if i == 0:
+                return None
+            suffix = _sre_parse.SubPattern(tree.state, tree.data[i:])
+            return _sre_compile.compile(suffix)
+    return None
+
+
+def _compile_rule(pattern: str, where: str) -> tuple:
     """Parse ``pattern`` once, check it, and compile it along with its
-    prescreen trigger, derived from the same parse tree.
+    prescreen trigger and factor, derived from the same parse tree.
 
     Inline flags are rejected, so no rule turns on IGNORECASE and a
     ``LITERAL`` node matches exactly its own code point: every clause of the
@@ -195,7 +232,7 @@ def _compile_rule(pattern: str, where: str) -> tuple[re.Pattern, tuple]:
     if tree.state.flags != re.UNICODE:
         raise _not_allowed(where, "inline flags")
     trigger = _trigger(_literal_sets(tree, where))
-    return _sre_compile.compile(tree), trigger
+    return _sre_compile.compile(tree), trigger, _factor(tree)
 
 
 def _parse_pack(lines: Iterable[str], where: str) -> list[tuple]:
@@ -245,8 +282,9 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
 
 @lru_cache(maxsize=16)
 def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
-    """``(category, rule_id, regex, trigger)`` of every loaded and custom rule
-    of an enabled category, in registry order, pack order within a category.
+    """``(category, rule_id, regex, trigger, factor)`` of every loaded and
+    custom rule of an enabled category, in registry order, pack order within
+    a category.
 
     Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
@@ -292,32 +330,51 @@ def _is_sentence_end(text: str, j: int, lenient_initials: bool) -> bool:
     return True
 
 
-def _sentence_bounds(text: str, start: int, end: int) -> tuple[int, int]:
-    """Widen [start, end) to the enclosing sentence, absorbing the trailing
-    terminator and whitespace so the removal splices cleanly.
+# A terminator that may end a sentence, with the whitespace after it.
+_CANDIDATE_END = re.compile(r"[.!?](?!\S)\s*")
+_LEADING_SPACE = re.compile(r"\s*")
+
+_Boundaries = tuple[list[tuple[int, int]], list[tuple[int, int]]]
+
+
+def _sentence_boundaries(text: str) -> _Boundaries:
+    """Every sentence end of ``text``, found in one pass: ``(strict,
+    lenient)``, two sorted lists of ``(terminator offset, end of the
+    whitespace after it)``.
 
     Boundary detection is deliberately asymmetric: scanning backward, a lone
     capital before a period counts as a sentence end so a preceding content
     sentence ("... vitamin X.") is never swallowed; scanning forward it is
     read as a name initial so a whole statement ("© 2020 John A. Smith. All
     rights reserved.") is still removed in one piece. Each direction errs on
-    the side that does the least damage.
+    the side that does the least damage. ``strict`` serves the backward
+    scan and opens with the start of the text, at offset -1; ``lenient``, a
+    subset of it, serves the forward scan and closes with the end, at
+    ``len(text)``.
     """
-    s = 0
-    for j in range(start - 1, -1, -1):
-        if _is_sentence_end(text, j, lenient_initials=False):
-            s = j + 1
-            break
-    while s < start and text[s].isspace():
-        s += 1
-    n = len(text)
-    e = n
-    for j in range(max(end - 1, 0), n):
+    strict = [(-1, _LEADING_SPACE.match(text).end())]
+    lenient = []
+    for m in _CANDIDATE_END.finditer(text):
+        j = m.start()
+        # A lenient end is also a strict one; most ends are both.
         if _is_sentence_end(text, j, lenient_initials=True):
-            e = j + 1
-            break
-    while e < n and text[e].isspace():
-        e += 1
+            strict.append((j, m.end()))
+            lenient.append((j, m.end()))
+        elif _is_sentence_end(text, j, lenient_initials=False):
+            strict.append((j, m.end()))
+    lenient.append((len(text), len(text)))
+    return strict, lenient
+
+
+def _sentence_bounds(bounds: _Boundaries, start: int, end: int) -> tuple[int, int]:
+    """Widen [start, end) to the enclosing sentence of the text ``bounds``
+    came from, absorbing the trailing terminator and whitespace so the
+    removal splices cleanly: from the last strict end before ``start`` (and
+    the whitespace after it, up to ``start``) through the first lenient end
+    at or after ``end - 1`` and the whitespace after that."""
+    strict, lenient = bounds
+    s = min(strict[bisect_left(strict, (start,)) - 1][1], start)
+    e = lenient[bisect_left(lenient, (max(end - 1, 0),))][1]
     return s, e
 
 
@@ -344,15 +401,20 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
         config = DetectorConfig()
     detections: list[Detection] = []
     seen: set[tuple] = set()
-    for category, rule_id, regex, trigger in _compiled_rules(config):
+    bounds = None
+    for category, rule_id, regex, trigger, factor in _compiled_rules(config):
         if not _passes(trigger, text):
+            continue
+        if factor is not None and factor.search(text) is None:
             continue
         for m in regex.finditer(text):
             s, e = m.span()
             if s == e:
                 continue
             if category in SENTENCE_SCOPED:
-                s, e = _sentence_bounds(text, s, e)
+                if bounds is None:
+                    bounds = _sentence_boundaries(text)
+                s, e = _sentence_bounds(bounds, s, e)
             key = (s, e, category, rule_id)
             if key in seen:
                 continue

@@ -234,6 +234,25 @@ def test_saved_text_is_not_ascii_escaped(tmp_path):
     assert json.loads(raw)["text"] == "μ-opioid"
 
 
+def test_failed_save_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    records = [LabeledAbstract("a", "ok"), LabeledAbstract("b", "x \ud800")]
+    with pytest.raises(CorpusError, match=r"record 'b': lone surrogate U\+D800"):
+        save_corpus(records, str(path))
+    assert not path.exists()
+
+
+def test_failed_save_keeps_what_it_did_not_create(tmp_path):
+    """Through a symlink the output is not a regular file at ``path``, as
+    with ``--output /dev/stdout``, so it is not unlinked."""
+    target = tmp_path / "target.jsonl"
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    with pytest.raises(CorpusError):
+        save_corpus([LabeledAbstract("b", "x \ud800")], str(link))
+    assert link.is_symlink() and target.exists()
+
+
 class TestComputeStats:
     def test_empty(self):
         stats = compute_stats([])

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -38,7 +39,7 @@ BUILTIN_TRIGGERS = {
     "all_rights_reserved": (("eserved",), ("ights ",), ("ll ",)),
     "licensee": (("icensee",),),
     "payment_order": (("ayment must accompany order",),),
-    "reprint_orders": (("eprint", "o order reprints"),),
+    "reprint_orders": (("eprint",),),
     "single_copies": (
         ("ingle copies ",),
         ("are", "may be"),
@@ -50,8 +51,8 @@ BUILTIN_TRIGGERS = {
         (
             "Aim", "Background", "Conclusion", "Discussion", "Findings", "Implications",
             "Intervention", "Introduction", "Limitations", "Materials and ", "Method",
-            "Methodology", "Objective", "Participants", "Purpose", "Result", "Setting",
-            "Significance", "Study ", "amples", "utcome ",
+            "Objective", "Participants", "Purpose", "Result", "Setting", "Significance",
+            "Study ", "amples", "utcome ",
         ),
     ),
     "heading_caps": (
@@ -81,7 +82,7 @@ BUILTIN_TRIGGERS = {
             "his work",
         ),
     ),
-    "translated_from": ((" ",), ("Translated by arrangement with", "Translated from")),
+    "translated_from": (("Translated by arrangement with", "Translated from"),),
     "orig_published": (("riginally published in",),),
     "funding_lead": ((":",), ("FUNDING", "unding")),
     "funded_by": (
@@ -95,13 +96,22 @@ BUILTIN_TRIGGERS = {
     "paren_figtab": (
         ("(",),
         (")",),
-        ("ab", "able", "cheme", "ig", "igure", "ppendix", "q", "quation"),
+        ("ab", "cheme", "ig", "ppendix", "q"),
     ),
     "bracket_refs": (("[",), ("]",)),
     "arxiv_id": (("arXiv",), (":",), (".", "/")),
     "doi_ref": (("10.",), (":",), ("/",), ("DOI", "Doi", "doi")),
     "journal_vol_pages": (("(",), (")",)),
     "vol_pages": (("ol",), ("p",), (".",)),
+}
+
+# The built-in rules that get a necessary factor: those whose first top-level
+# literal comes after a class, an anchor or an optional part.
+BUILTIN_FACTORS = {
+    "copyright_word", "all_rights_reserved", "licensee", "payment_order",
+    "single_copies", "ctgov_nct", "trial_reg_sentence", "isrctn", "prospero",
+    "eudract", "registered_at", "translation_of", "orig_published", "funding_lead",
+    "funded_by", "grant_no", "arxiv_id", "doi_ref", "journal_vol_pages", "vol_pages",
 }
 
 # Text pieces for the prescreen differential test: a match of every built-in
@@ -128,6 +138,7 @@ RULE_FRAGMENTS = [
     "Originally published in", "zzqyy", "quuxyy", "zzlongwordyy", "xyzwwdef",
     "optionalxyzw", "abEFgh", "cdefgh", "wxyz", "alphadelt", "betagammadelt",
     "QXabyy", "QXcdyy", "QXab", "QX5ef", "ZETAKappa", "ZETAkappa", "wq(7)",
+    "AB CD12", "AB\tCD99", "CD34", "ABCD56", "kk QQ7", "QQ3", "x-QQ9 z",
 ]
 NEAR_MISSES = [
     "copyrighted", "all rights", "licensees 3", "funding source", "supported the",
@@ -145,6 +156,8 @@ NEAR_MISSES = [
     "(see above)", "( )", "(Fig.)", "(Table)", "[ref]", "[]", "[a, b]", "(", "]",
     "QXcd yy", "qxcdyy", "QXef", "QX ef", "ZETA", "zetakappa", "Zeta Kappa",
     "wq(x)", "wq()", "wq(", "7)",
+    # Hold the literal of a factor rule, but no match of its factor.
+    "CD1", "CD123", "CD 12", "CDx12", "AB CD", "cd12", "QQ", "QQ12", "QQa", "kk QQ",
 ]
 FOLD_NOISE = [
     "ß", "ẞ", "STRASSE", "straße", "İ", "i̇", "ı", "Σ", "σ", "ς", "ΟΔΟΣ", "οδος",
@@ -174,6 +187,10 @@ CUSTOM_RULES = (
     ("funding", "ZETA[Kk]appa"),
     # A mandatory one-character clause.
     ("registration", r"wq\([0-9]\)"),
+    # A literal after an optional capturing group and a \b: the rule gets a
+    # factor, one in a sentence-scoped category.
+    ("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),
+    ("copyright", r"(?:kk )?\bQQ[0-9]\b"),
 )
 CASINGS = (
     lambda s, rng: s,
@@ -184,6 +201,42 @@ CASINGS = (
     lambda s, rng: "".join(c.swapcase() if rng.random() < 0.3 else c for c in s),
 )
 SEPARATORS = (" ", " ", ". ", ", ", "\n", "", ": ", " - ", "\t", "ß", "Σ ", "İ")
+
+
+def scanning_sentence_bounds(text, start, end):
+    """The widening oracle: scan back from ``start`` and forward from
+    ``end - 1`` one character at a time, testing each with
+    ``_is_sentence_end``, then absorb the whitespace after each boundary."""
+    is_end = detectors._is_sentence_end
+    s = 0
+    for j in range(start - 1, -1, -1):
+        if is_end(text, j, lenient_initials=False):
+            s = j + 1
+            break
+    while s < start and text[s].isspace():
+        s += 1
+    n = len(text)
+    e = n
+    for j in range(max(end - 1, 0), n):
+        if is_end(text, j, lenient_initials=True):
+            e = j + 1
+            break
+    while e < n and text[e].isspace():
+        e += 1
+    return s, e
+
+
+# Pieces for the widening differential test: abbreviations, lone and
+# chained initials, terminators and Unicode whitespace.
+WIDENING_PIECES = (
+    "word", "Results", "x", "Fig.", "fig.", "e.g.", "i.e.", "Ph.D.", "etc.", "al.",
+    "Inc.", "A.", "J.", "B.V.", "U.S.A.", "a.b.", "AB.", "x.Y", "3.5", ".", "!", "?",
+    "?!", "..", "end.", "Why?", "Stop!", "©", "(C)", "vs.", "No.",
+)
+WIDENING_SPACES = (
+    " ", " ", " ", "  ", "\n", "\t", "\xa0", "\u2009", "\x1c", "\u3000", "\u2028",
+    "\x85", "", ". ",
+)
 
 
 def detect_counting_runs(monkeypatch, texts, configs):
@@ -202,7 +255,8 @@ def detect_counting_runs(monkeypatch, texts, configs):
 
     counted = {
         config: tuple(
-            (category, r, Counted(r, regex), t) for category, r, regex, t in real(config)
+            (category, r, Counted(r, regex), t, f)
+            for category, r, regex, t, f in real(config)
         )
         for config in configs
     }
@@ -355,6 +409,59 @@ class TestHeadings:
         assert cleaned == "The method generalizes."
 
 
+class TestSentenceWidening:
+    def test_bisect_widening_matches_scanning_oracle(self):
+        """Seeded differential test: boundaries found once per text, looked
+        up by bisect, widen every span as the one-character scan does."""
+        rng = random.Random(20241018)
+        checked = 0
+        for _ in range(1500):
+            pieces = []
+            for _ in range(rng.randint(0, 12)):
+                pieces.append(rng.choice(WIDENING_PIECES))
+                pieces.append(rng.choice(WIDENING_SPACES))
+            if rng.random() < 0.3:
+                pieces.insert(0, rng.choice(".!?"))  # a terminator at offset 0
+            if pieces and rng.random() < 0.5:
+                pieces.pop()  # end on a piece, often a terminator
+            text = "".join(pieces)
+            n = len(text)
+            if n == 0:
+                continue
+            bounds = detectors._sentence_boundaries(text)
+            pairs = {(0, 1), (0, n), (n - 1, n)}
+            for _ in range(12):
+                start = rng.randrange(n)
+                pairs.add((start, rng.randint(start + 1, n)))
+            for start, end in pairs:
+                got = detectors._sentence_bounds(bounds, start, end)
+                assert got == scanning_sentence_bounds(text, start, end), (
+                    text, start, end
+                )
+                checked += 1
+        assert checked > 15000
+
+    def test_long_text_without_terminator_is_linear(self):
+        """400 copyright signs in 100k characters and no sentence end: every
+        match widens to the whole text. The per-match scan took seconds."""
+        rng = random.Random(400)
+        words = ("films", "grew", "under", "light", "and", "heat", "samples", "were")
+        chunks = []
+        for _ in range(400):
+            chunk = "© " + " ".join(rng.choice(words) for _ in range(60))
+            chunks.append(chunk[:249] + " ")
+        text = "".join(chunks)
+        assert len(text) == 100_000 and text.count("©") == 400
+        detect(text)  # compile the packs outside the timed call
+        started = time.perf_counter()
+        detections = detect(text)
+        elapsed = time.perf_counter() - started
+        assert [(d.rule_id, d.span.start, d.span.end) for d in detections] == [
+            ("copyright_sign", 0, len(text))
+        ]
+        assert elapsed < 0.5, elapsed
+
+
 class TestRulePacks:
     def test_malformed_line_rejected(self, tmp_path):
         pack = tmp_path / "x.rules"
@@ -423,12 +530,12 @@ class TestRulePacks:
 
     def test_triggers_never_skip_a_match(self, golden_path, monkeypatch):
         """Seeded differential test of the prescreen: on random texts, detect
-        with triggers equals detect with every trigger removed."""
+        with triggers and factors equals detect with both stages removed."""
         rng = random.Random(20240611)
         configs = (DetectorConfig(), DetectorConfig(custom_rules=CUSTOM_RULES))
         literals = [
             literal
-            for *_, trigger in _compiled_rules(configs[1])
+            for _category, _rule_id, _regex, trigger, _factor in _compiled_rules(configs[1])
             for clause in trigger
             for literal in clause
         ]
@@ -455,17 +562,31 @@ class TestRulePacks:
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(detectors, "_trigger", lambda sets: ())
+                patch.setattr(detectors, "_factor", lambda tree: None)
                 oracle, oracle_runs = detect_counting_runs(monkeypatch, texts, configs)
         finally:
             _compiled_rules.cache_clear()
 
         for text, got, want in zip(texts, results, oracle):
             assert got == want, text
-        # Not vacuous: every rule was skipped on some text, and every
-        # category detected something.
+        # Not vacuous: every rule was skipped on some text, every custom rule
+        # with a factor was skipped by it on a text its trigger passed, and
+        # every category detected something.
         for config in configs:
-            for _category, rule_id, _regex, _trigger in _compiled_rules(config):
+            for _category, rule_id, _regex, _trigger, _factor in _compiled_rules(config):
                 assert runs[rule_id] < oracle_runs[rule_id], rule_id
+        factor_skips = Counter(
+            rule_id
+            for _category, rule_id, _regex, trigger, factor in _compiled_rules(configs[1])
+            if factor is not None
+            for text in texts
+            if detectors._passes(trigger, text) and factor.search(text) is None
+        )
+        led_by_boundary = {
+            f"custom_{i}" for i, (_c, pattern) in enumerate(CUSTOM_RULES) if "\\b" in pattern
+        }
+        assert len(led_by_boundary) == 2
+        assert set(factor_skips) >= led_by_boundary, factor_skips
         found = {d.category for per_config in results for d in per_config[0]}
         assert found == set(CATEGORY_REGISTRY)
         assert {d.rule_id for per_config in results for d in per_config[1]} >= {
@@ -481,11 +602,25 @@ class TestRulePacks:
             return tuple(tuple(sorted(clause)) for clause in trigger)
 
         rules = _compiled_rules(DetectorConfig())
-        table = {rule_id: trigger for _category, rule_id, _regex, trigger in rules}
+        table = {rule_id: trigger for _category, rule_id, _regex, trigger, _f in rules}
         assert () not in table.values()
         assert {r: members_sorted(t) for r, t in table.items()} == {
             r: members_sorted(t) for r, t in BUILTIN_TRIGGERS.items()
         }
+
+    def test_factor_table_is_pinned(self):
+        """The factor, too, is cut from the private sre parse tree. Pin which
+        built-in rules get one, and check on one rule that its factor starts
+        at the first top-level literal, after the leading ``\\b``."""
+        rules = _compiled_rules(DetectorConfig())
+        assert {r for _c, r, _regex, _t, factor in rules if factor is not None} == (
+            BUILTIN_FACTORS
+        )
+        config = DetectorConfig(custom_rules=(("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),))
+        [*_, (_category, _rule_id, _regex, _trigger, factor)] = _compiled_rules(config)
+        assert [factor.search(t) is not None for t in ("CD12", "xCD12", "CD123")] == [
+            True, True, False
+        ]
 
     def test_prescreen_skips_rules_whose_literals_are_absent(self, monkeypatch):
         """Case-exact headings, conjunctive punctuation and the joined MSC
@@ -498,23 +633,32 @@ class TestRulePacks:
             "heading_embedded", "heading_caps", "journal_vol_pages", "msc_codes",
             "bracket_refs", "paren_figtab", "funding_lead",
         )
-        _, runs = detect_counting_runs(monkeypatch, [text], [DetectorConfig()])
+        notice = text + " Copyright 2019 the authors."
+        _, runs = detect_counting_runs(monkeypatch, [text, notice], [DetectorConfig()])
         assert {rule_id: runs[rule_id] for rule_id in skipped} == dict.fromkeys(
             skipped, 0
         )
-        # Not vacuous: both clauses of copyright_word are met, so it runs.
+        # Not vacuous: both clauses of copyright_word are met in both texts,
+        # but only the notice holds a match of its factor, so it runs once.
+        [trigger] = [t for _c, r, _x, t, _f in _compiled_rules(DetectorConfig())
+                     if r == "copyright_word"]
+        assert detectors._passes(trigger, text)
         assert runs["copyright_word"] == 1
 
     def test_prescreen_is_case_exact(self, monkeypatch):
         """Upper-case near misses of case-class rules hold none of their exact
-        runs, so those rules never run; their lower-case forms do."""
+        runs, so those rules never run; their own casings do."""
         text = (
             "ALL RIGHTS RESERVED by the board. PAYMENT MUST ACCOMPANY ORDER forms. "
-            "ORIGINALLY PUBLISHED IN 2019. LICENSEE data."
+            "ORIGINALLY PUBLISHED IN 2019. LICENSEE DATA."
+        )
+        matching = (
+            "All rights reserved by the board. Payment must accompany order forms. "
+            "Originally published in 2019. Licensee Data."
         )
         rules = ("all_rights_reserved", "licensee", "payment_order", "orig_published")
         _, runs = detect_counting_runs(
-            monkeypatch, [text, text.lower()], [DetectorConfig()]
+            monkeypatch, [text, matching], [DetectorConfig()]
         )
         assert {rule_id: runs[rule_id] for rule_id in rules} == dict.fromkeys(rules, 1)
 
@@ -525,8 +669,8 @@ class TestRulePacks:
             enabled_categories=("citation",),
             custom_rules=(("citation", "[Pp][Mm][Ii][Dd]"),),
         )
-        [*_, (_category, rule_id, _regex, trigger)] = _compiled_rules(config)
-        assert (rule_id, trigger) == ("custom_0", ())
+        [*_, (_category, rule_id, _regex, trigger, factor)] = _compiled_rules(config)
+        assert (rule_id, trigger, factor) == ("custom_0", (), None)
         detections = detect("Indexed under PMID 123 and pmid 456.", config)
         assert [(d.span.start, d.span.end) for d in detections] == [(14, 18), (27, 31)]
 
