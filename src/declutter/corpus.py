@@ -21,6 +21,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusError, DeclutterError
@@ -151,20 +152,21 @@ def iter_jsonl(
                         raise error(f"{where}: lone surrogate U+{code:04X}") from None
                 yield where, obj
         except UnicodeDecodeError:
-            raise utf8_error(path, error) from None
+            raise utf8_error(path, Path(path), error) from None
 
 
-def utf8_error(path: str, error: type[DeclutterError]) -> DeclutterError:
-    """``error`` naming the first line of ``path`` that is not UTF-8, and
-    its first undecodable byte. Lines are counted as text-mode reading
-    counts them."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+def utf8_error(where: str, file, error: type[DeclutterError]) -> DeclutterError:
+    """``error`` naming, as ``where``, the first line of ``file`` (a
+    :class:`~pathlib.Path` or a package resource) that is not UTF-8, and its
+    first undecodable byte. Lines are counted as text-mode reading counts
+    them."""
+    with file.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             for ch in line:
                 if "\udc80" <= ch <= "\udcff":
                     byte = ord(ch) - 0xDC00
-                    return error(f"{path}:{lineno}: not UTF-8 (byte 0x{byte:02X})")
-    return error(f"{path}: not UTF-8")
+                    return error(f"{where}:{lineno}: not UTF-8 (byte 0x{byte:02X})")
+    return error(f"{where}: not UTF-8")
 
 
 def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:

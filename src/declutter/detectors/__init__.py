@@ -13,11 +13,11 @@ inline flags, possessive quantifiers and atomic groups are rejected so packs
 stay portable across regex engines.
 
 Each rule also gets a two-stage prescreen, derived from the same parse. Its
-trigger is a conjunction of clauses, each a set of literal strings of which
-every match contains one verbatim; its factor, when it has one, is the part
-of the pattern from its first top-level literal on, a regex every match
-contains. ``detect`` runs a rule's regex only on texts that hold a member of
-every clause and a match of the factor.
+trigger is one set of literal strings of which every match contains one
+verbatim; its factor, when it has one, is the part of the pattern from its
+first top-level literal on, a regex every match contains. ``detect`` runs a
+rule's regex only on texts that hold a member of the trigger and a match of
+the factor.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries,
@@ -164,30 +164,25 @@ def _literal_sets(seq, where: str, lead: str = "") -> list[tuple[str, ...]]:
     return found
 
 
-def _trigger(sets: list[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
-    """Turn a rule's mandatory literal sets into its prescreen trigger: a
-    conjunction of clauses, each a tuple of literals.
+def _trigger(sets: list[tuple[str, ...]]) -> tuple[str, ...]:
+    """Turn a rule's mandatory literal sets into its prescreen trigger: one
+    set of literals, every match holding a member.
 
-    Every set without an empty member is a clause, however short its
-    literals. A member that contains another member of its clause goes, since
-    the shorter one is in every text the longer one is in. A clause goes when
-    another clause implies it, that is when every member of the other
-    contains one of its members; duplicates go too. Clauses are ordered
-    fewest members first, then longest shortest member first, so the clause
-    most likely to fail and cheapest to test comes first. A rule with no
-    such set gets the empty trigger ``()``, which every text meets.
+    A member that contains another member of its set goes, since the shorter
+    one is in every text the longer one is in. Of the sets without an empty
+    member, the trigger is the one with the fewest members per character of
+    its shortest member, the first such in pattern order: few and long
+    literals are quick to test and rarely present by chance, so
+    ``heading_embedded`` tests ``:`` and ``-``, not its 20 heading words,
+    and ``translated_from`` tests ``Translated from``, not a space. A rule
+    with no such set gets the empty trigger ``()``, which every text meets.
     """
-    clauses = dict.fromkeys(
+    candidates = [
         tuple(m for m in s if not any(o != m and o in m for o in s))
         for s in sets
         if all(s)
-    )
-
-    def implies(stronger: tuple[str, ...], weaker: tuple[str, ...]) -> bool:
-        return all(any(w in m for w in weaker) for m in stronger)
-
-    kept = [c for c in clauses if not any(d != c and implies(d, c) for d in clauses)]
-    return tuple(sorted(kept, key=lambda c: (len(c), -min(map(len, c)))))
+    ]
+    return min(candidates, key=lambda c: len(c) / min(map(len, c)), default=())
 
 
 def _factor(tree) -> re.Pattern | None:
@@ -216,10 +211,10 @@ def _compile_rule(pattern: str, where: str) -> tuple:
     prescreen trigger and factor, derived from the same parse tree.
 
     Inline flags are rejected, so no rule turns on IGNORECASE and a
-    ``LITERAL`` node matches exactly its own code point: every clause of the
-    trigger has a member in every text the regex matches in, and skipping
-    the regex when some clause has none can never drop a detection. The
-    trigger is ``()`` when the pattern has no mandatory literal.
+    ``LITERAL`` node matches exactly its own code point: the trigger has a
+    member in every text the regex matches in, and skipping the regex when
+    it has none can never drop a detection. The trigger is ``()`` when the
+    pattern has no mandatory literal.
     """
     # Besides re.error: a{99999999999} overflows, and thousands of nested
     # groups exhaust the parser's stack.
@@ -257,26 +252,20 @@ def _parse_pack(lines: Iterable[str], where: str) -> list[tuple]:
 
 
 def _load_rules(rules_dir: str | None) -> list[tuple]:
-    rules: list[tuple] = []
     if rules_dir is None:
         root = resources.files(__package__) / "rules"
-        entries = sorted(
-            (e for e in root.iterdir() if e.name.endswith(".rules")),
-            key=lambda e: e.name,
-        )
-        for entry in entries:
-            text = entry.read_text(encoding="utf-8")
-            rules.extend(_parse_pack(text.splitlines(), entry.name))
+        packs = sorted((e.name, e) for e in root.iterdir() if e.name.endswith(".rules"))
     else:
-        paths = sorted(Path(rules_dir).glob("*.rules"))
-        if not paths:
+        packs = [(str(p), p) for p in sorted(Path(rules_dir).glob("*.rules"))]
+        if not packs:
             raise DetectorError(f"no .rules files found in {rules_dir!r}")
-        for path in paths:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    rules.extend(_parse_pack(fh, str(path)))
-            except UnicodeDecodeError:
-                raise utf8_error(str(path), DetectorError) from None
+    rules: list[tuple] = []
+    for where, pack in packs:
+        try:
+            with pack.open(encoding="utf-8") as fh:
+                rules.extend(_parse_pack(fh, where))
+        except UnicodeDecodeError:
+            raise utf8_error(where, pack, DetectorError) from None
     return rules
 
 
@@ -284,7 +273,8 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
 def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
     """``(category, rule_id, regex, trigger, factor)`` of every loaded and
     custom rule of an enabled category, in registry order, pack order within
-    a category.
+    a category. ``trigger`` is a tuple of literal strings, ``factor`` a
+    compiled regex or ``None``.
 
     Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
@@ -305,31 +295,6 @@ _ABBREVIATIONS = frozenset(
         "approx", "e.g", "i.e", "Ph.D",
     }
 )
-_TERMINATORS = ".!?"
-
-
-def _is_sentence_end(text: str, j: int, lenient_initials: bool) -> bool:
-    ch = text[j]
-    if ch not in _TERMINATORS:
-        return False
-    if j + 1 < len(text) and not text[j + 1].isspace():
-        return False
-    if ch != ".":
-        return True
-    k = j
-    while k > 0 and not text[k - 1].isspace():
-        k -= 1
-    token = text[k:j]
-    if token in _ABBREVIATIONS:
-        return False
-    if lenient_initials:
-        if len(token) == 1 and token.isupper():
-            return False  # lone initial, "John A. Smith"
-        if len(token) >= 2 and token[-2] == "." and token[-1].isupper():
-            return False  # chained initials, "B.V."
-    return True
-
-
 # A terminator that may end a sentence, with the whitespace after it.
 _CANDIDATE_END = re.compile(r"[.!?](?!\S)\s*")
 _LEADING_SPACE = re.compile(r"\s*")
@@ -356,12 +321,20 @@ def _sentence_boundaries(text: str) -> _Boundaries:
     lenient = []
     for m in _CANDIDATE_END.finditer(text):
         j = m.start()
-        # A lenient end is also a strict one; most ends are both.
-        if _is_sentence_end(text, j, lenient_initials=True):
-            strict.append((j, m.end()))
-            lenient.append((j, m.end()))
-        elif _is_sentence_end(text, j, lenient_initials=False):
-            strict.append((j, m.end()))
+        boundary = (j, m.end())
+        if text[j] == ".":
+            # The token before the period, back to the last whitespace.
+            k = j
+            while k > 0 and not text[k - 1].isspace():
+                k -= 1
+            token = text[k:j]
+            if token in _ABBREVIATIONS:
+                continue  # no sentence end either way
+            if token[-1:].isupper() and (len(token) == 1 or token[-2] == "."):
+                strict.append(boundary)  # an initial: "John A. Smith", "B.V."
+                continue
+        strict.append(boundary)
+        lenient.append(boundary)
     lenient.append((len(text), len(text)))
     return strict, lenient
 
@@ -378,16 +351,13 @@ def _sentence_bounds(bounds: _Boundaries, start: int, end: int) -> tuple[int, in
     return s, e
 
 
-def _passes(trigger: tuple[tuple[str, ...], ...], text: str) -> bool:
-    """Whether every clause of ``trigger`` has a member in ``text``; true for
-    the empty trigger."""
-    for clause in trigger:
-        for literal in clause:
-            if literal in text:
-                break
-        else:
-            return False
-    return True
+def _passes(trigger: tuple[str, ...], text: str) -> bool:
+    """Whether ``text`` holds a member of ``trigger``; true for the empty
+    trigger."""
+    for literal in trigger:
+        if literal in text:
+            return True
+    return not trigger
 
 
 def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:

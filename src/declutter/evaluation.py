@@ -168,6 +168,8 @@ def length_buckets(
         return []
     ordered = sorted(o.tokens for o in outcomes)
     n = len(ordered)
+    # With n buckets every index is a cut already; more add none.
+    n_buckets = min(n_buckets, n)
     cuts = sorted({ordered[math.ceil(k * n / n_buckets) - 1] for k in range(1, n_buckets + 1)})
     members: list[list[AbstractOutcome]] = [[] for _ in cuts]
     for o in outcomes:

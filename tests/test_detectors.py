@@ -31,78 +31,46 @@ def parses(pattern):
     return True
 
 
-# The prescreen trigger of every built-in rule: its clauses in check order.
+# The prescreen trigger of every built-in rule: the one literal set it tests.
 BUILTIN_TRIGGERS = {
-    "copyright_sign": (("©",),),
-    "copyright_c_paren": (("(",), (")",), ("19", "20")),
-    "copyright_word": (("opyright",), ("19", "20")),
-    "all_rights_reserved": (("eserved",), ("ights ",), ("ll ",)),
-    "licensee": (("icensee",),),
-    "payment_order": (("ayment must accompany order",),),
-    "reprint_orders": (("eprint",),),
-    "single_copies": (
-        ("ingle copies ",),
-        ("are", "may be"),
-        (" available", " ordered", " purchased"),
-    ),
-    "heading_lead": (("ABSTRACT", "Abstract", "SUMMARY", "Summary"),),
-    "heading_embedded": (
-        ("-", ":"),
-        (
-            "Aim", "Background", "Conclusion", "Discussion", "Findings", "Implications",
-            "Intervention", "Introduction", "Limitations", "Materials and ", "Method",
-            "Objective", "Participants", "Purpose", "Result", "Setting", "Significance",
-            "Study ", "amples", "utcome ",
-        ),
-    ),
+    "copyright_sign": ("©",),
+    "copyright_c_paren": ("(",),
+    "copyright_word": ("opyright",),
+    "all_rights_reserved": ("eserved",),
+    "licensee": ("icensee",),
+    "payment_order": ("ayment must accompany order",),
+    "reprint_orders": ("eprint",),
+    "single_copies": ("ingle copies ",),
+    "heading_lead": ("ABSTRACT", "Abstract", "SUMMARY", "Summary"),
+    "heading_embedded": ("-", ":"),
     "heading_caps": (
-        (
-            "AIM", "BACKGROUND", "CONCLUSION", "DISCUSSION", "FINDINGS", "INTRODUCTION",
-            "METHOD", "OBJECTIVE", "POINTS", "PURPOSE", "RESULT",
-        ),
+        "AIM", "BACKGROUND", "CONCLUSION", "DISCUSSION", "FINDINGS", "INTRODUCTION",
+        "METHOD", "OBJECTIVE", "POINTS", "PURPOSE", "RESULT",
     ),
-    "jel_codes": (("JEL",),),
-    "keywords_list": (("WORD", "ord"),),
-    "index_terms": (("INDEX TERMS", "Index "),),
-    "pacs_codes": (("PACS",), (":",)),
-    "msc_codes": ((":",), ("MSC", "Mathematics Subject Classification")),
-    "ctgov_nct": (("NCT",),),
-    "trial_reg_sentence": (("egistration",), ("linical ", "rial", "tudy")),
-    "isrctn": (("ISRCTN",),),
-    "prospero": (("CRD42",),),
-    "eudract": (("EudraCT",), ("-",)),
-    "registered_at": (
-        ("egistered at", "egistered in", "egistered on", "egistered with"),
-        ("ClinicalTrials.gov", "EudraCT", "ISRCTN", "PROSPERO"),
-    ),
-    "translation_of": (
-        (" is a translation of",),
-        (
-            "his abstract", "his article", "his paper", "his publication", "his text",
-            "his work",
-        ),
-    ),
-    "translated_from": (("Translated by arrangement with", "Translated from"),),
-    "orig_published": (("riginally published in",),),
-    "funding_lead": ((":",), ("FUNDING", "unding")),
-    "funded_by": (
-        (" by",),
-        (" has been", " is", " was"),
-        ("financed", "funded", "sponsored", "supported"),
-        ("his project", "his publication", "his research", "his study", "his work"),
-    ),
-    "support_from": (("inancial support ", "upported by "),),
-    "grant_no": (("rant",), ("o", "umber")),
-    "paren_figtab": (
-        ("(",),
-        (")",),
-        ("ab", "cheme", "ig", "ppendix", "q"),
-    ),
-    "bracket_refs": (("[",), ("]",)),
-    "arxiv_id": (("arXiv",), (":",), (".", "/")),
-    "doi_ref": (("10.",), (":",), ("/",), ("DOI", "Doi", "doi")),
-    "journal_vol_pages": (("(",), (")",)),
-    "vol_pages": (("ol",), ("p",), (".",)),
+    "jel_codes": ("JEL",),
+    "keywords_list": ("WORD", "ord"),
+    "index_terms": ("INDEX TERMS", "Index "),
+    "pacs_codes": ("PACS",),
+    "msc_codes": ("MSC", "Mathematics Subject Classification"),
+    "ctgov_nct": ("NCT",),
+    "trial_reg_sentence": ("egistration",),
+    "isrctn": ("ISRCTN",),
+    "prospero": ("CRD42",),
+    "eudract": ("EudraCT",),
+    "registered_at": ("egistered at", "egistered in", "egistered on", "egistered with"),
+    "translation_of": (" is a translation of",),
+    "translated_from": ("Translated by arrangement with", "Translated from"),
+    "orig_published": ("riginally published in",),
+    "funding_lead": ("FUNDING", "unding"),
+    "funded_by": (" by",),
+    "support_from": ("inancial support ", "upported by "),
+    "grant_no": ("rant",),
+    "paren_figtab": ("(",),
+    "bracket_refs": ("[",),
+    "arxiv_id": ("arXiv",),
+    "doi_ref": ("10.",),
+    "journal_vol_pages": ("(",),
+    "vol_pages": ("ol",),
 }
 
 # The built-in rules that get a necessary factor: those whose first top-level
@@ -185,7 +153,7 @@ CUSTOM_RULES = (
     ("order_info", "(?:QXab|QX[0-9]ef)"),
     # A case class that ends an exact run mid-word.
     ("funding", "ZETA[Kk]appa"),
-    # A mandatory one-character clause.
+    # A mandatory one-character literal.
     ("registration", r"wq\([0-9]\)"),
     # A literal after an optional capturing group and a \b: the rule gets a
     # factor, one in a sentence-scoped category.
@@ -203,14 +171,41 @@ CASINGS = (
 SEPARATORS = (" ", " ", ". ", ", ", "\n", "", ": ", " - ", "\t", "ß", "Σ ", "İ")
 
 
+_TERMINATORS = ".!?"
+
+
+def _is_sentence_end(text, j, lenient_initials):
+    """Whether ``text[j]`` ends a sentence, tested on its own: the oracle's
+    copy of the rules, sharing only the abbreviation list with the code
+    under test."""
+    ch = text[j]
+    if ch not in _TERMINATORS:
+        return False
+    if j + 1 < len(text) and not text[j + 1].isspace():
+        return False
+    if ch != ".":
+        return True
+    k = j
+    while k > 0 and not text[k - 1].isspace():
+        k -= 1
+    token = text[k:j]
+    if token in detectors._ABBREVIATIONS:
+        return False
+    if lenient_initials:
+        if len(token) == 1 and token.isupper():
+            return False  # lone initial, "John A. Smith"
+        if len(token) >= 2 and token[-2] == "." and token[-1].isupper():
+            return False  # chained initials, "B.V."
+    return True
+
+
 def scanning_sentence_bounds(text, start, end):
     """The widening oracle: scan back from ``start`` and forward from
     ``end - 1`` one character at a time, testing each with
     ``_is_sentence_end``, then absorb the whitespace after each boundary."""
-    is_end = detectors._is_sentence_end
     s = 0
     for j in range(start - 1, -1, -1):
-        if is_end(text, j, lenient_initials=False):
+        if _is_sentence_end(text, j, lenient_initials=False):
             s = j + 1
             break
     while s < start and text[s].isspace():
@@ -218,7 +213,7 @@ def scanning_sentence_bounds(text, start, end):
     n = len(text)
     e = n
     for j in range(max(end - 1, 0), n):
-        if is_end(text, j, lenient_initials=True):
+        if _is_sentence_end(text, j, lenient_initials=True):
             e = j + 1
             break
     while e < n and text[e].isspace():
@@ -524,6 +519,37 @@ class TestRulePacks:
         )
         assert [d.rule_id for d in detections] == ["mine"]
 
+    def test_builtin_and_rules_dir_packs_read_alike(self, tmp_path, monkeypatch):
+        """The same pack loads the same as a built-in pack and under
+        ``rules_dir``: a U+2028 inside a comment breaks no line in either,
+        and an undecodable byte gets the same error in both."""
+        rules = tmp_path / "rules"
+        rules.mkdir()
+        pack = rules / "x.rules"
+        text = "Text. MYMARK stays here."
+
+        def load_both():
+            outcomes = []
+            for config in (DetectorConfig(), DetectorConfig(rules_dir=str(rules))):
+                _compiled_rules.cache_clear()
+                try:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(detectors.resources, "files", lambda pkg: tmp_path)
+                        outcomes.append([d.rule_id for d in detect(text, config)])
+                except DetectorError as exc:
+                    outcomes.append(str(exc).replace(str(pack), pack.name))
+                finally:
+                    _compiled_rules.cache_clear()
+            return outcomes
+
+        pack.write_text(
+            "# a comment \u2028 with a line separator\nmine\tcopyright\tMYMARK\n",
+            encoding="utf-8",
+        )
+        assert load_both() == [["mine"], ["mine"]]
+        pack.write_bytes(b"mine\tcopyright\tMYMARK\n# caf\xe9\n")
+        assert load_both() == ["x.rules:2: not UTF-8 (byte 0xE9)"] * 2
+
     def test_empty_rules_dir_rejected(self, tmp_path):
         with pytest.raises(DetectorError, match="no .rules files"):
             detect("t", DetectorConfig(rules_dir=str(tmp_path)))
@@ -533,12 +559,23 @@ class TestRulePacks:
         with triggers and factors equals detect with both stages removed."""
         rng = random.Random(20240611)
         configs = (DetectorConfig(), DetectorConfig(custom_rules=CUSTOM_RULES))
-        literals = [
-            literal
-            for _category, _rule_id, _regex, trigger, _factor in _compiled_rules(configs[1])
-            for clause in trigger
-            for literal in clause
-        ]
+        # Every mandatory literal set of every rule, not only the one each
+        # trigger tests: record what _trigger is given while compiling.
+        literal_sets = []
+        real_trigger = detectors._trigger
+        _compiled_rules.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    detectors,
+                    "_trigger",
+                    lambda sets: literal_sets.extend(sets) or real_trigger(sets),
+                )
+                _compiled_rules(configs[1])
+        finally:
+            _compiled_rules.cache_clear()
+        literals = list(dict.fromkeys(m for s in literal_sets for m in s if m))
+        assert len(literals) >= 145
         golden = [r.text for r in load_corpus(str(golden_path))]
         pools = [
             golden,
@@ -595,17 +632,14 @@ class TestRulePacks:
 
     def test_trigger_table_is_pinned(self):
         """Trigger derivation reads the private sre parse tree. Pin the whole
-        derived table, clause order included, so a change in the tree's shape
-        or in the derivation shows up here."""
-
-        def members_sorted(trigger):
-            return tuple(tuple(sorted(clause)) for clause in trigger)
-
+        derived table, so a change in the tree's shape or in the derivation
+        shows up here."""
         rules = _compiled_rules(DetectorConfig())
         table = {rule_id: trigger for _category, rule_id, _regex, trigger, _f in rules}
         assert () not in table.values()
-        assert {r: members_sorted(t) for r, t in table.items()} == {
-            r: members_sorted(t) for r, t in BUILTIN_TRIGGERS.items()
+        assert all(isinstance(m, str) for t in table.values() for m in t)
+        assert {r: tuple(sorted(t)) for r, t in table.items()} == {
+            r: tuple(sorted(t)) for r, t in BUILTIN_TRIGGERS.items()
         }
 
     def test_factor_table_is_pinned(self):
@@ -623,8 +657,9 @@ class TestRulePacks:
         ]
 
     def test_prescreen_skips_rules_whose_literals_are_absent(self, monkeypatch):
-        """Case-exact headings, conjunctive punctuation and the joined MSC
-        prefix keep these rules off a text with only their near misses."""
+        """Case-exact headings, one-character punctuation triggers, the
+        joined MSC prefix and the factor behind a passing trigger keep these
+        rules off a text with only their near misses."""
         text = (
             "Results show that the films grew. Methods differ across samples. "
             "Data were measured in 2019. Study of copyright law and funding rates."
@@ -638,7 +673,7 @@ class TestRulePacks:
         assert {rule_id: runs[rule_id] for rule_id in skipped} == dict.fromkeys(
             skipped, 0
         )
-        # Not vacuous: both clauses of copyright_word are met in both texts,
+        # Not vacuous: the trigger of copyright_word is met in both texts,
         # but only the notice holds a match of its factor, so it runs once.
         [trigger] = [t for _c, r, _x, t, _f in _compiled_rules(DetectorConfig())
                      if r == "copyright_word"]

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import time
 import unicodedata
 
 import pytest
@@ -289,6 +290,21 @@ class TestLengthBuckets:
             outcomes = [self._outcome(i, rng.randint(1, 6)) for i in ids]
             rows = length_buckets(outcomes, rng.randint(1, 5))
             assert sum(r.count for r in rows) == len(ids)
+
+    def test_more_buckets_than_outcomes_is_one_per_outcome(self):
+        """Beyond one bucket per outcome the rows cannot change, so a huge
+        count costs no more than ``n`` buckets."""
+        outcomes = [self._outcome(f"r{i}", n) for i, n in enumerate((5, 9, 9, 2, 7) * 2)]
+        want = length_buckets(outcomes, len(outcomes))
+        assert [r.group_key for r in want] == ["2-2", "5-5", "7-7", "9-9"]
+        # A cut per bucket would take about a second for 10**7 buckets, and
+        # hours for 10**12.
+        for n_buckets in (10**7, 10**12):
+            started = time.perf_counter()
+            rows = length_buckets(outcomes, n_buckets)
+            elapsed = time.perf_counter() - started
+            assert rows == want
+            assert elapsed < 0.1, (n_buckets, elapsed)
 
     def test_bad_bucket_count_rejected(self):
         with pytest.raises(ValueError):
