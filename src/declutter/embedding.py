@@ -2,9 +2,10 @@
 
 The built-in provider is a hashed bag-of-words model: lowercased tokens are
 hashed into a fixed number of signed buckets, weighted ``1 + ln(tf)`` and
-L2-normalized. It is model-free and bit-reproducible across runs, which is
-all the ranking-comparison protocol needs; externally computed vectors (from
-any encoder) can be ingested instead for fidelity.
+L2-normalized, and only the buckets a text touches are stored. It is
+model-free and bit-reproducible across runs, which is all the
+ranking-comparison protocol needs; externally computed vectors (from any
+encoder) can be ingested instead for fidelity.
 
 Hash function, for reimplementors: ``H`` is the big-endian integer of
 ``blake2b(token_utf8, digest_size=8)``; the bucket is ``H % dim`` and the
@@ -17,7 +18,9 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import mul, truediv
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import LabeledAbstract, iter_jsonl
 from .errors import EmbeddingError
@@ -32,19 +35,30 @@ CLEANED_ID_SUFFIX = "::cleaned"
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """A fixed-dimension real vector with its Euclidean norm cached."""
+    """A sparse real vector with its Euclidean norm cached.
 
-    values: tuple[float, ...]
+    ``entries`` maps index to value in ascending index order; an index it
+    lacks holds 0.0. Every index lies in ``range(dimension)``.
+    """
+
+    dimension: int
+    entries: dict[int, float]
     norm: float
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "EmbeddingVector":
-        vals = tuple(float(v) for v in values)
-        return cls(vals, math.sqrt(sum(v * v for v in vals)))
+        """The vector of a dense value list, zeros included."""
+        entries = dict(enumerate(map(float, values)))
+        return cls(len(entries), entries, _norm(entries.values()))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
+
+# Sparse sums equal dense ones bit for bit as long as they visit the stored
+# entries in ascending index order: an absent entry's square or product is a
+# zero, and adding a zero leaves a float sum as it was. That holds for the
+# compensated sum() of Python 3.12+ too: with s the running sum and c its
+# compensation, s + 0.0 == s, so c gains (s - s) + 0.0 == 0.0.
+def _norm(values: Collection[float]) -> float:
+    return math.sqrt(sum(map(mul, values, values)))
 
 
 def _bucket_sign(token: str, dim: int) -> tuple[int, float]:
@@ -68,28 +82,35 @@ class BuiltinProvider:
 
     def vector(self, text: str, doc_id: str | None = None) -> EmbeddingVector:
         tokens = tokenize(text)
-        counts = Counter(text[a:b].lower() for a, b in zip(tokens.starts, tokens.ends))
-        values = [0.0] * self._dimension
+        pieces = map(text.__getitem__, map(slice, tokens.starts, tokens.ends))
+        counts = Counter(map(str.lower, pieces))
+        buckets: dict[int, float] = {}
         # Sorted iteration keeps float accumulation order platform-independent.
         for token, count in sorted(counts.items()):
             bucket, sign = _bucket_sign(token, self._dimension)
-            values[bucket] += sign * (1.0 + math.log(count))
-        norm = math.sqrt(sum(v * v for v in values))
+            buckets[bucket] = buckets.get(bucket, 0.0) + sign * (1.0 + math.log(count))
+        entries = dict(sorted(buckets.items()))
+        norm = _norm(entries.values())
         if norm > 0.0:
-            values = [v / norm for v in values]
-        return EmbeddingVector.from_values(values)
+            entries = dict(zip(entries, map(truediv, entries.values(), repeat(norm))))
+        # The norm of the normalized entries, not 1.0: it is within rounding
+        # of 1, and every cosine depends on it bit for bit.
+        return EmbeddingVector(self._dimension, entries, _norm(entries.values()))
 
 
-def _is_finite_number(v: object) -> bool:
-    """A JSON number that is a finite float. json.loads accepts NaN and
-    Infinity, either of which makes every cosine NaN, and integers of any
-    size, which a float cannot hold."""
-    if type(v) not in (int, float):
-        return False
+def _finite_floats(values: object) -> list[float] | None:
+    """``values`` as floats if it is a non-empty list of finite JSON numbers,
+    else None. json.loads accepts NaN and Infinity, either of which makes
+    every cosine NaN, and integers of any size, which a float cannot hold."""
+    if not isinstance(values, list) or not values:
+        return None
+    if not {int, float}.issuperset(map(type, values)):
+        return None
     try:
-        return math.isfinite(v)
+        floats = list(map(float, values))
     except OverflowError:
-        return False
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
 
 
 class ExternalVectorProvider:
@@ -114,12 +135,10 @@ class ExternalVectorProvider:
             if not isinstance(obj, dict):
                 raise EmbeddingError(f"{where}: record must be a JSON object")
             vec_id = obj.get("id")
-            values = obj.get("values")
             if not isinstance(vec_id, str) or not vec_id:
                 raise EmbeddingError(f"{where}: id must be a non-empty string")
-            if not isinstance(values, list) or not values or not all(
-                map(_is_finite_number, values)
-            ):
+            values = _finite_floats(obj.get("values"))
+            if values is None:
                 raise EmbeddingError(
                     f"{where}: values must be a non-empty list of finite numbers"
                 )
@@ -147,7 +166,18 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
         )
     if a.norm == 0.0 or b.norm == 0.0:
         raise EmbeddingError("cosine undefined for zero-norm embedding")
-    return sum(x * y for x, y in zip(a.values, b.values)) / (a.norm * b.norm)
+    x, y = a.entries, b.entries
+    if len(x) == len(y) == a.dimension:
+        # Both hold every index, in ascending order: external vectors do.
+        dot = sum(map(mul, x.values(), y.values()))
+    else:
+        if len(y) < len(x):
+            x, y = y, x
+        # The shared indices, ascending; see _norm for why the others add
+        # nothing.
+        shared = list(filter(y.__contains__, x))
+        dot = sum(map(mul, map(x.__getitem__, shared), map(y.__getitem__, shared)))
+    return dot / (a.norm * b.norm)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -225,7 +226,7 @@ class TestEval:
         )
         assert rc == 0
         assert "3 gold record(s) have no prediction" in err
-        rows = [json.loads(line) for line in report.read_text().splitlines()]
+        rows = [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()]
         overall = next(r for r in rows if r["table"] == "overall")
         # 2 of 3 gold records carry labels, and with empty predictions each
         # labeled one has missing tokens
@@ -262,7 +263,7 @@ class TestEval:
             "--report", str(report), "--buckets", "2",
         )
         assert rc == 0
-        rows = [json.loads(line) for line in report.read_text().splitlines()]
+        rows = [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()]
         tables = {r["table"] for r in rows}
         assert {"overall", "has_labels", "length_buckets"} <= tables
         fields = {"table"} | {f.name for f in dataclasses.fields(EvalReport)}
@@ -326,7 +327,7 @@ class TestRankCompare:
         )
         assert rc == 0
         assert "changed: yes, top1_changed: yes" in out
-        payload = json.loads(report.read_text())
+        payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["order_before"] == ["b", "a", "c"]
         assert payload["order_after"] == ["a", "b", "c"]
         assert payload["displacement"] == 2
@@ -351,6 +352,28 @@ class TestRankCompare:
         )
         assert rc == 1
         assert "not found" in err
+
+    def test_large_dim_costs_what_the_tokens_cost(self, write_jsonl, tmp_path, capsys):
+        # Only the buckets a text touches are stored. With a dense list of
+        # floats per text this took about 2 s and 140 MB (2 cores, 3.11).
+        corpus = write_jsonl(
+            [
+                {"id": "f", "text": "Quantum optics in photonic lattices. © 2020 Springer", "spans": []},
+                {"id": "a", "text": "Quantum optics in lattices.", "spans": []},
+                {"id": "b", "text": "Soil moisture under drought.", "spans": []},
+            ],
+            name="three.jsonl",
+        )
+        report = tmp_path / "delta.json"
+        started = time.perf_counter()
+        rc, out, _ = run(
+            capsys, "rank-compare", "--input", corpus, "--focal", "f",
+            "--refs", "a,b", "--dim", "1000000", "--report", str(report),
+        )
+        assert time.perf_counter() - started < 1.0
+        assert rc == 0
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert payload["order_before"] == payload["order_after"] == ["a", "b"]
 
     def _vectors(self, write_jsonl):
         return write_jsonl(

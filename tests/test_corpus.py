@@ -72,7 +72,9 @@ def test_lone_surrogate_escape_rejected_pairs_load(tmp_path):
     pair = r'{"id": "a", "text": "\ud83d\ude00 C:\\udata", "spans": []}' + "\n"
     path.write_text(pair, encoding="utf-8")
     assert load_corpus(str(path))[0].text == "\U0001F600 C:\\udata"
-    path.write_text(pair + r'{"id": "b", "text": "x \uDFFF", "spans": []}' + "\n")
+    path.write_text(
+        pair + r'{"id": "b", "text": "x \uDFFF", "spans": []}' + "\n", encoding="utf-8"
+    )
     with pytest.raises(CorpusError, match=r"c\.jsonl:2: lone surrogate U\+DFFF$"):
         load_corpus(str(path))
 

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -8,11 +10,12 @@ from declutter.embedding import (
     BuiltinProvider,
     EmbeddingVector,
     ExternalVectorProvider,
+    _bucket_sign,
     cosine,
     rank_references,
 )
 from declutter.errors import EmbeddingError
-from declutter.textspan import Span
+from declutter.textspan import Span, tokenize
 
 
 def vec(*values):
@@ -75,7 +78,107 @@ class TestBuiltinProvider:
         provider = BuiltinProvider(dimension=8)
         for text in ("plain words", "with punct, too.", "repeat repeat repeat x"):
             got = provider.vector(text)
-            assert list(got.values) == pytest.approx(oracle_vector(text, 8), abs=1e-12)
+            dense = [got.entries.get(i, 0.0) for i in range(got.dimension)]
+            assert dense == pytest.approx(oracle_vector(text, 8), abs=1e-12)
+
+
+# The dense vector, from_values and cosine that the sparse ones replaced,
+# verbatim but for a (values, norm) pair in place of the vector class, as the
+# oracle for them: the cosines must be equal, not approximately equal.
+def dense_vector(text, dimension):
+    tokens = tokenize(text)
+    counts = Counter(text[a:b].lower() for a, b in zip(tokens.starts, tokens.ends))
+    values = [0.0] * dimension
+    # Sorted iteration keeps float accumulation order platform-independent.
+    for token, count in sorted(counts.items()):
+        bucket, sign = _bucket_sign(token, dimension)
+        values[bucket] += sign * (1.0 + math.log(count))
+    norm = math.sqrt(sum(v * v for v in values))
+    if norm > 0.0:
+        values = [v / norm for v in values]
+    vals = tuple(float(v) for v in values)
+    return vals, math.sqrt(sum(v * v for v in vals))
+
+
+def dense_cosine(a, b):
+    (a_values, a_norm), (b_values, b_norm) = a, b
+    return sum(x * y for x, y in zip(a_values, b_values)) / (a_norm * b_norm)
+
+
+def cancelling_pair(dimension):
+    """Two tokens hashed to one bucket with opposite signs, and a third token
+    in another bucket when there is one."""
+    seen = {}
+    for i in range(10_000):
+        token = f"w{i}"
+        bucket, sign = _bucket_sign(token, dimension)
+        other = seen.get((bucket, -sign))
+        if other is not None:
+            rest = next((t for (b, _), t in seen.items() if b != bucket), None)
+            return other, token, rest
+        seen.setdefault((bucket, sign), token)
+    raise AssertionError("no cancelling pair among 10,000 tokens")
+
+
+class TestSparseMatchesDense:
+    WORDS = ("alpha", "beta", "gamma", "delta", "Quantum", "photonic", "©", "2020",
+             "Springer", "[1]", "(Fig.", "1)", "café", "İstanbul", "x", "of", "the")
+
+    def texts(self, rng, n):
+        return [
+            " ".join(rng.choice(self.WORDS) for _ in range(rng.randint(1, 40)))
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 7, 768])
+    def test_cosines_equal_dense_oracle(self, dimension):
+        rng = random.Random(dimension)
+        texts = self.texts(rng, 40)
+        # A bucket where +1 and -1 cancel to exactly 0.0; at dimension 1 it
+        # is the only bucket, so that text is the zero vector.
+        plus, minus, rest = cancelling_pair(dimension)
+        texts.append(" ".join(filter(None, (plus, minus, rest))))
+        provider = BuiltinProvider(dimension=dimension)
+        sparse = [provider.vector(t) for t in texts]
+        dense = [dense_vector(t, dimension) for t in texts]
+        compared = 0
+        for i in range(len(texts)):
+            assert sparse[i].norm == dense[i][1]
+            assert all(0 <= k < dimension for k in sparse[i].entries)
+            assert list(sparse[i].entries) == sorted(sparse[i].entries)
+            for j in range(len(texts)):
+                if dense[i][1] == 0.0 or dense[j][1] == 0.0:
+                    continue
+                assert cosine(sparse[i], sparse[j]) == dense_cosine(dense[i], dense[j])
+                compared += 1
+        assert compared == (len(texts) - (dimension == 1)) ** 2
+        assert 0.0 in sparse[-1].entries.values()
+        assert (sparse[-1].norm == 0.0) == (dimension == 1)
+
+    def test_cancelled_punctuation_gives_zero_norm(self):
+        # Punctuation tokens count like words, so a punctuation-only text is
+        # a zero vector only when its buckets cancel.
+        signs = {_bucket_sign(p, 1)[1]: p for p in ".,;:!?()[]"}
+        text = f"{signs[1.0]} {signs[-1.0]}"
+        assert dense_vector(text, 1)[1] == 0.0
+        provider = BuiltinProvider(dimension=1)
+        v = provider.vector(text)
+        assert v.norm == 0.0
+        with pytest.raises(EmbeddingError, match="zero-norm"):
+            cosine(v, provider.vector("alpha"))
+        assert provider.vector(" \t\n").norm == 0.0
+
+    def test_external_vectors_equal_dense_oracle(self):
+        rng = random.Random(3)
+        rows = [[rng.uniform(-1.0, 1.0) for _ in range(64)] for _ in range(20)]
+        rows.append([0.0] * 63 + [1.0])
+        for a in rows:
+            for b in rows:
+                want = dense_cosine(
+                    (tuple(a), math.sqrt(sum(v * v for v in a))),
+                    (tuple(b), math.sqrt(sum(v * v for v in b))),
+                )
+                assert cosine(vec(*a), vec(*b)) == want
 
 
 class TestCosine:
@@ -97,7 +200,7 @@ class TestCosine:
     def test_scale_invariance(self):
         a = vec(0.3, -0.2, 0.9)
         b = vec(0.1, 0.4, -0.5)
-        scaled = vec(*(3.7 * x for x in b.values))
+        scaled = vec(*(3.7 * x for x in b.entries.values()))
         assert cosine(a, b) == pytest.approx(cosine(a, scaled), abs=1e-12)
 
 
@@ -112,7 +215,8 @@ class TestExternalVectors:
         )
         provider = ExternalVectorProvider.load(path)
         assert provider.dimension == 2
-        assert provider.vector("ignored", "a").values == (1.0, 0.0)
+        got = provider.vector("ignored", "a")
+        assert (got.dimension, got.entries) == (2, {0: 1.0, 1: 0.0})
 
     def test_missing_id(self, write_jsonl):
         provider = ExternalVectorProvider.load(
@@ -130,8 +234,10 @@ class TestExternalVectors:
             ExternalVectorProvider.load(path)
 
     def test_malformed_values_rejected(self, write_jsonl):
-        # The last is an integer too large for a float.
-        for values in (["x"], [1.0, float("nan")], [float("-inf"), 0.5], [10**400]):
+        # A bool is not a number here; the last is an integer too large for
+        # a float.
+        malformed = (["x"], [1.0, True], [1.0, float("nan")], [float("-inf"), 0.5], [10**400])
+        for values in malformed:
             path = write_jsonl(
                 [{"id": "b", "values": [1.0]}, {"id": "a", "values": values}],
                 name="v.jsonl",

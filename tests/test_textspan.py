@@ -1,4 +1,9 @@
+import json
+import pathlib
 import random
+import re
+import sys
+import unicodedata
 
 import pytest
 
@@ -179,6 +184,96 @@ class TestTokenize:
                 assert token and not any(c.isspace() for c in token)
             assert all(prev <= nxt for prev, nxt in zip(ends, starts[1:]))
             assert token_map.source_length == len(text)
+
+
+# The one-regex tokenizer that the split-first tokenizer replaced, verbatim, as
+# the oracle for it.
+_ASCII_PUNCT = "".join(
+    c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")
+)
+_P = re.escape(_ASCII_PUNCT)
+_TOKEN_RE = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+
+
+def oracle_tokenize(text):
+    masked = text
+    if not text.isascii():
+        punct = [
+            ord(c)
+            for c in set(_NON_ASCII_RE.findall(text))
+            if unicodedata.category(c).startswith("P")
+        ]
+        if punct:  # translate costs ~100 ns a character, so only when needed
+            masked = text.translate(dict.fromkeys(punct, "."))
+    spans = list(map(re.Match.span, _TOKEN_RE.finditer(masked)))
+    starts, ends = zip(*spans) if spans else ((), ())
+    return starts, ends
+
+
+# Pieces of random texts: words, punctuation at word edges and alone,
+# symbols, non-ASCII letters and digits, and every kind of whitespace.
+_WORDS = ("a", "Fig", "x2", "10", "state-of-the-art", "café", "Straße", "İstanbul",
+          "m²", "e\u0301", "量子", "🦊", "a\u200bb")
+_PUNCT = (*".,;:!?()[]{}'\"-/&#%*@_", "—", "…", "«", "»", "‘", "’", "・", "¿")
+_SYMBOLS = ("©", "°", "+", "=", "<", "$", "±", "™")
+_SPACES = (" ", "  ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0", "\u2009", "\u3000",
+           "\u2028", "\u2029", "\u202f", "\u1680", "\x85", "\x1c", "\x1d", "\x1e",
+           "\x1f")
+
+
+def random_text(rng):
+    parts = []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.random()
+        if kind < 0.4:
+            pool = _WORDS
+        elif kind < 0.65:
+            pool = _PUNCT
+        elif kind < 0.75:
+            pool = _SYMBOLS
+        else:
+            pool = _SPACES
+        parts.append(rng.choice(pool))
+    return "".join(parts)
+
+
+class TestTokenizeOracle:
+    def test_matches_one_regex_oracle_on_random_texts(self):
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(3000):
+            text = random_text(rng)
+            token_map = tokenize(text)
+            assert (token_map.starts, token_map.ends) == oracle_tokenize(text), repr(text)
+            seen.update(c for c in text if not c.isalnum())
+        # Every separator and punctuation kind of the pools was drawn.
+        assert set("".join(_SPACES + _PUNCT + _SYMBOLS)) <= seen
+
+    def test_matches_oracle_on_edge_texts(self):
+        edges = ("", " ", "  ", " a", "a ", " a  b ", "\ta", "a\xa0b", "(a)", "a.", "...")
+        for text in edges:
+            token_map = tokenize(text)
+            assert (token_map.starts, token_map.ends) == oracle_tokenize(text), repr(text)
+
+    def test_matches_oracle_on_golden_fixtures(self):
+        path = pathlib.Path(__file__).parent / "data" / "golden_clutter.jsonl"
+        with open(path, encoding="utf-8") as fh:
+            texts = [json.loads(line)["text"] for line in fh]
+        assert len(texts) == 10
+        for text in texts:
+            token_map = tokenize(text)
+            assert (token_map.starts, token_map.ends) == oracle_tokenize(text)
+
+    def test_alnum_characters_are_neither_space_nor_punctuation(self):
+        """tokenize takes a str.isalnum() piece as one token. That is sound
+        when no alphanumeric character is whitespace, to str.isspace() or to
+        the regex's \\s, or punctuation: this interpreter's whole Unicode
+        database is checked."""
+        alnum = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isalnum()]
+        assert not any(c.isspace() for c in alnum)
+        assert not any(unicodedata.category(c).startswith("P") for c in alnum)
+        assert re.search(r"\s", "".join(alnum)) is None
 
 
 class TestTokensUnder:
