@@ -15,7 +15,6 @@ from .detectors import (
     Detection,
     DetectorConfig,
     detect,
-    load_predictions,
     to_rem_spans,
 )
 from .embedding import (
@@ -86,7 +85,6 @@ __all__ = [
     "filter_spans",
     "length_buckets",
     "load_corpus",
-    "load_predictions",
     "rank_references",
     "save_corpus",
     "score_abstract",

@@ -19,14 +19,13 @@ import sys
 from collections import Counter
 
 from .corpus import LabeledAbstract, CorpusStats, compute_stats, load_corpus, save_corpus
-from .detectors import (
-    CATEGORY_REGISTRY,
-    DetectorConfig,
-    detect,
-    load_predictions,
-    to_rem_spans,
+from .detectors import CATEGORY_REGISTRY, DetectorConfig, detect, to_rem_spans
+from .embedding import (
+    DEFAULT_DIMENSION,
+    BuiltinProvider,
+    ExternalVectorProvider,
+    rank_references,
 )
-from .embedding import BuiltinProvider, ExternalVectorProvider, rank_references
 from .errors import CorpusError, DeclutterError
 from .evaluation import (
     EvalReport,
@@ -43,8 +42,8 @@ RULES_ENV_VAR = "DECLUTTER_RULES"
 
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
-    rules_dir = getattr(args, "rules", None) or os.environ.get(RULES_ENV_VAR) or None
-    raw = getattr(args, "categories", None)
+    rules_dir = args.rules or os.environ.get(RULES_ENV_VAR) or None
+    raw = args.categories
     if raw is None or raw == "all":
         categories = CATEGORY_REGISTRY
     elif raw == "none":
@@ -116,7 +115,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.buckets < 1:
         raise DeclutterError("--buckets must be >= 1")
     gold = load_corpus(args.gold, schema="gold")
-    predictions = load_predictions(args.pred)
+    predictions = {
+        r.id: list(r.spans) for r in load_corpus(args.pred, schema="predictions")
+    }
     gold_ids = {r.id for r in gold}
     unknown = sorted(set(predictions) - gold_ids)
     if unknown:
@@ -235,6 +236,15 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``_detector_config`` reads."""
+    parser.add_argument("--rules", help="rule-pack directory (replaces built-ins)")
+    parser.add_argument(
+        "--categories",
+        help="comma-separated category list, or 'all' (default) or 'none'",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="declutter",
@@ -246,11 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clean = sub.add_parser("clean", help="declutter a corpus with the rule packs")
     p_clean.add_argument("--input", required=True, help="input corpus (JSONL)")
     p_clean.add_argument("--output", required=True, help="output corpus (JSONL)")
-    p_clean.add_argument("--rules", help="rule-pack directory (replaces built-ins)")
-    p_clean.add_argument(
-        "--categories",
-        help="comma-separated category list, or 'all' (default) or 'none'",
-    )
+    _add_detector_flags(p_clean)
     p_clean.set_defaults(func=cmd_clean)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold labels")
@@ -274,12 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--provider", choices=("builtin", "vectors"), default="builtin"
     )
     p_rank.add_argument("--vectors", help="vector file for --provider vectors")
-    p_rank.add_argument("--dim", type=int, default=768, help="builtin dimension")
-    p_rank.add_argument("--rules", help="rule-pack directory (replaces built-ins)")
     p_rank.add_argument(
-        "--categories",
-        help="comma-separated category list, or 'all' (default) or 'none'",
+        "--dim", type=int, default=DEFAULT_DIMENSION, help="builtin dimension"
     )
+    _add_detector_flags(p_rank)
     p_rank.add_argument("--report", help="write the ranking delta here (JSON)")
     p_rank.set_defaults(func=cmd_rank_compare)
     return parser

@@ -42,7 +42,9 @@ except ImportError:  # pragma: no cover - Python <= 3.10
     import sre_compile as _sre_compile
     import sre_parse as _sre_parse
 
-from ..corpus import load_corpus, utf8_error
+# load_corpus is unused here; perfbench/tracer.py wraps
+# declutter.detectors.load_corpus.
+from ..corpus import load_corpus, utf8_error  # noqa: F401
 from ..errors import DetectorError
 from ..textspan import Span, filter_spans
 
@@ -65,35 +67,26 @@ SENTENCE_SCOPED = frozenset({"copyright", "order_info", "translation", "funding"
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Which categories run, plus optional extra rules and rule-pack location.
+    """Which categories run, and where the rule packs are.
 
-    ``rules_dir`` replaces the built-in packs entirely; ``custom_rules`` are
-    ``(category, pattern)`` pairs appended to whatever packs are loaded.
+    ``rules_dir`` replaces the built-in packs entirely.
     """
 
     enabled_categories: tuple[str, ...] = CATEGORY_REGISTRY
-    custom_rules: tuple[tuple[str, str], ...] = ()
     rules_dir: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "enabled_categories", tuple(self.enabled_categories))
-        object.__setattr__(
-            self, "custom_rules", tuple(tuple(r) for r in self.custom_rules)
-        )
         for name in self.enabled_categories:
             if name not in _CATEGORY_INDEX:
                 raise DetectorError(f"unknown category {name!r}")
-        for category, _pattern in self.custom_rules:
-            if category not in _CATEGORY_INDEX:
-                raise DetectorError(f"unknown category {category!r} in custom rule")
 
 
 @dataclass(frozen=True)
 class Detection:
-    """One rule match; ``span.label`` always equals ``category``."""
+    """One rule match; ``span.label`` is the rule's category."""
 
     span: Span
-    category: str
     rule_id: str
 
 
@@ -230,7 +223,9 @@ def _compile_rule(pattern: str, where: str) -> tuple:
     return _sre_compile.compile(tree), trigger, _factor(tree)
 
 
-def _parse_pack(lines: Iterable[str], where: str) -> list[tuple]:
+def _parse_pack(lines: Iterable[str], where: str, first_at: dict[str, str]) -> list[tuple]:
+    """The rules of one pack. ``first_at`` maps each rule id loaded so far to
+    the line that defined it; an id already in it is an error."""
     rules = []
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -247,6 +242,12 @@ def _parse_pack(lines: Iterable[str], where: str) -> list[tuple]:
         if category not in _CATEGORY_INDEX:
             raise DetectorError(f"{where}:{lineno}: unknown category {category!r}")
         where_line = f"{where}:{lineno}"
+        if rule_id in first_at:
+            raise DetectorError(
+                f"{where_line}: duplicate rule id {rule_id!r} "
+                f"(first at {first_at[rule_id]})"
+            )
+        first_at[rule_id] = where_line
         rules.append((category, rule_id, *_compile_rule(pattern, where_line)))
     return rules
 
@@ -260,10 +261,11 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
         if not packs:
             raise DetectorError(f"no .rules files found in {rules_dir!r}")
     rules: list[tuple] = []
+    first_at: dict[str, str] = {}
     for where, pack in packs:
         try:
             with pack.open(encoding="utf-8") as fh:
-                rules.extend(_parse_pack(fh, where))
+                rules.extend(_parse_pack(fh, where, first_at))
         except UnicodeDecodeError:
             raise utf8_error(where, pack, DetectorError) from None
     return rules
@@ -271,16 +273,13 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
 
 @lru_cache(maxsize=16)
 def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
-    """``(category, rule_id, regex, trigger, factor)`` of every loaded and
-    custom rule of an enabled category, in registry order, pack order within
-    a category. ``trigger`` is a tuple of literal strings, ``factor`` a
-    compiled regex or ``None``.
+    """``(category, rule_id, regex, trigger, factor)`` of every loaded rule
+    of an enabled category, in registry order, pack order within a category.
+    ``trigger`` is a tuple of literal strings, ``factor`` a compiled regex or
+    ``None``.
 
     Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
-    for i, (category, pattern) in enumerate(config.custom_rules):
-        where = f"custom rule {i}"
-        rules.append((category, f"custom_{i}", *_compile_rule(pattern, where)))
     enabled = set(config.enabled_categories)
     rules.sort(key=lambda rule: _CATEGORY_INDEX[rule[0]])  # stable
     return tuple(rule for rule in rules if rule[0] in enabled)
@@ -389,9 +388,9 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
             if key in seen:
                 continue
             seen.add(key)
-            detections.append(Detection(Span(s, e, category), category, rule_id))
+            detections.append(Detection(Span(s, e, category), rule_id))
     detections.sort(
-        key=lambda d: (d.span.start, _CATEGORY_INDEX[d.category], d.span.end, d.rule_id)
+        key=lambda d: (d.span.start, _CATEGORY_INDEX[d.span.label], d.span.end, d.rule_id)
     )
     return detections
 
@@ -401,9 +400,3 @@ def to_rem_spans(detections: Iterable[Detection]) -> list[Span]:
     :func:`filter_spans`, each kept span labeled with its category."""
     return filter_spans(d.span for d in detections)
 
-
-def load_predictions(path: str) -> dict[str, list[Span]]:
-    """Load a predictions file (corpus line format) as finalized span sets
-    keyed by record id. Offsets are validated against their text only when
-    the spans are joined with a gold record during scoring."""
-    return {r.id: list(r.spans) for r in load_corpus(path, schema="predictions")}

@@ -76,10 +76,6 @@ class BuiltinProvider:
             raise EmbeddingError("dimension must be >= 1")
         self._dimension = dimension
 
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
     def vector(self, text: str, doc_id: str | None = None) -> EmbeddingVector:
         tokens = tokenize(text)
         pieces = map(text.__getitem__, map(slice, tokens.starts, tokens.ends))
@@ -126,7 +122,6 @@ class ExternalVectorProvider:
         if len(dims) > 1:
             raise EmbeddingError(f"inconsistent vector dimensions: {sorted(dims)}")
         self._vectors = dict(vectors)
-        self._dimension = dims.pop() if dims else 0
 
     @classmethod
     def load(cls, path: str) -> "ExternalVectorProvider":
@@ -146,10 +141,6 @@ class ExternalVectorProvider:
                 raise EmbeddingError(f"{where}: duplicate id {vec_id!r}")
             vectors[vec_id] = EmbeddingVector.from_values(values)
         return cls(vectors)
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
 
     def vector(self, text: str, doc_id: str | None = None) -> EmbeddingVector:
         if doc_id is None or doc_id not in self._vectors:

@@ -32,10 +32,6 @@ class AbstractOutcome:
     correct: bool
     tokens: int
 
-    @property
-    def matched_tokens(self) -> int:
-        return self.pred_tokens - self.excess_tokens
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -94,7 +90,7 @@ def token_prf(outcomes: Iterable[AbstractOutcome]) -> tuple[float, float, float]
     for o in outcomes:
         total_pred += o.pred_tokens
         total_gold += o.gold_tokens
-        total_matched += o.matched_tokens
+        total_matched += o.pred_tokens - o.excess_tokens
     precision = total_matched / total_pred if total_pred else 1.0
     recall = total_matched / total_gold if total_gold else 1.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

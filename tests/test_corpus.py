@@ -37,8 +37,9 @@ def test_load_span_out_of_bounds(write_jsonl):
 def test_load_duplicate_id(write_jsonl):
     rec = {"id": "x", "text": "abc", "spans": []}
     path = write_jsonl([rec, rec])
-    with pytest.raises(CorpusError, match="duplicate id"):
-        load_corpus(path)
+    for schema in ("gold", "predictions"):
+        with pytest.raises(CorpusError, match="duplicate id"):
+            load_corpus(path, schema=schema)
 
 
 def test_load_overlapping_gold_spans(write_jsonl):
@@ -226,6 +227,7 @@ def test_save_empty_corpus(tmp_path):
     save_corpus([], str(path))
     assert path.read_text(encoding="utf-8") == ""
     assert load_corpus(str(path)) == []
+    assert load_corpus(str(path), schema="predictions") == []
 
 
 def test_saved_text_is_not_ascii_escaped(tmp_path):

@@ -2,6 +2,7 @@ import random
 import re
 import time
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -12,15 +13,29 @@ from declutter.detectors import (
     DetectorConfig,
     _compiled_rules,
     detect,
-    load_predictions,
     to_rem_spans,
 )
-from declutter.errors import CorpusError, DetectorError
+from declutter.errors import DetectorError
 from declutter.textspan import Span, clean_text
 
 
 def categories_of(detections):
-    return {d.category for d in detections}
+    return {d.span.label for d in detections}
+
+
+def write_rules(directory, rules, builtins=False):
+    """A rules directory at ``directory`` holding the pack ``custom.rules``,
+    in which ``(category, pattern)`` pair ``i`` of ``rules`` is the rule
+    ``custom_{i}``, and with ``builtins`` a copy of each built-in pack."""
+    directory.mkdir(exist_ok=True)
+    if builtins:
+        for pack in (resources.files(detectors) / "rules").iterdir():
+            if pack.name.endswith(".rules"):
+                text = pack.read_text(encoding="utf-8")
+                (directory / pack.name).write_text(text, encoding="utf-8")
+    lines = [f"custom_{i}\t{c}\t{pattern}\n" for i, (c, pattern) in enumerate(rules)]
+    (directory / "custom.rules").write_text("".join(lines), encoding="utf-8")
+    return str(directory)
 
 
 def parses(pattern):
@@ -287,20 +302,20 @@ class TestDetect:
         detections = detect("ClinicalTrials.gov: NCT012345678")
         assert len(detections) == 1
         d = detections[0]
-        assert d.category == "registration"
+        assert d.span.label == "registration"
         assert (d.span.start, d.span.end) == (0, 32)
 
     def test_order_info_covers_sentence(self):
         text = "We study X. Payment must accompany order. More text follows."
         detections = detect(text)
-        assert [d.category for d in detections] == ["order_info"]
+        assert [d.span.label for d in detections] == ["order_info"]
         span = detections[0].span
         assert text[span.start : span.end] == "Payment must accompany order. "
 
     def test_internal_ref_match_local(self):
         text = "We show gains (Fig. 1) on all datasets."
         detections = detect(text)
-        assert [d.category for d in detections] == ["internal_ref"]
+        assert [d.span.label for d in detections] == ["internal_ref"]
         span = detections[0].span
         assert text[span.start : span.end] == "(Fig. 1)"
 
@@ -331,7 +346,7 @@ class TestDetect:
                 )
             ),
         )
-        assert [d for d in full if d.category != "citation"] == without
+        assert [d for d in full if d.span.label != "citation"] == without
 
     def test_no_categories_enabled(self):
         assert detect("© 2020 Springer", DetectorConfig(enabled_categories=())) == []
@@ -340,19 +355,19 @@ class TestDetect:
         with pytest.raises(DetectorError, match="unknown category"):
             DetectorConfig(enabled_categories=("copyright", "watermark"))
 
-    def test_custom_rule(self):
-        config = DetectorConfig(
-            custom_rules=(("citation", r"PMID[ \t]*:[ \t]*[0-9]{6,9}"),)
-        )
+    def test_custom_rule(self, tmp_path):
+        rules = [("citation", r"PMID[ \t]*:[ \t]*[0-9]{6,9}")]
+        config = DetectorConfig(rules_dir=write_rules(tmp_path, rules, builtins=True))
         detections = detect("See also PMID: 1234567 for details.", config)
-        assert [(d.category, d.rule_id) for d in detections] == [
+        assert [(d.span.label, d.rule_id) for d in detections] == [
             ("citation", "custom_0")
         ]
 
-    def test_custom_rule_matches_through_final_sigma(self):
+    def test_custom_rule_matches_through_final_sigma(self, tmp_path):
         """str.lower() turns a word-final capital sigma into a final small
         sigma, which a per-character fold of the trigger never produces."""
-        config = DetectorConfig(custom_rules=(("citation", "ΟΔΟΣ"),))
+        rules = [("citation", "ΟΔΟΣ")]
+        config = DetectorConfig(rules_dir=write_rules(tmp_path, rules, builtins=True))
         detections = detect("Body text. ΟΔΟΣ 12 here.", config)
         assert [(d.rule_id, d.span.start, d.span.end) for d in detections] == [
             ("custom_0", 11, 15)
@@ -486,22 +501,42 @@ class TestRulePacks:
             with pytest.raises(DetectorError, match="backreference"):
                 detect("t", DetectorConfig(rules_dir=str(tmp_path)))
 
-    def test_named_groups_and_inline_flags_rejected(self):
+    def test_named_groups_and_inline_flags_rejected(self, tmp_path):
         for pattern, expected in [
             ("(?P<n>a)b", "named group"),
             ("(?i)abc", "inline flags"),
             ("(?i:a)bc", "inline flags"),
             ("(?x)a b", "inline flags"),
         ]:
-            config = DetectorConfig(custom_rules=(("citation", pattern),))
+            rules_dir = write_rules(tmp_path, [("citation", pattern)])
+            config = DetectorConfig(rules_dir=rules_dir)
             with pytest.raises(DetectorError, match=expected):
                 detect("t", config)
 
-    def test_unparsable_pattern_rejected(self):
+    def test_unparsable_pattern_rejected(self, tmp_path):
         for pattern in ("(ab", "a{99999999999}", "(?:" * 5000 + "a" + ")" * 5000):
-            config = DetectorConfig(custom_rules=(("citation", pattern),))
-            with pytest.raises(DetectorError, match="custom rule 0: bad pattern"):
+            rules_dir = write_rules(tmp_path, [("citation", pattern)])
+            config = DetectorConfig(rules_dir=rules_dir)
+            with pytest.raises(DetectorError, match=r"custom\.rules:1: bad pattern"):
                 detect("t", config)
+
+    def test_duplicate_rule_id_rejected(self, tmp_path):
+        """A rule id names one rule across every loaded pack, whether its
+        category is enabled or not."""
+        a, b = tmp_path / "a.rules", tmp_path / "b.rules"
+        a.write_text("r1\tcopyright\tFOO\n", encoding="utf-8")
+        b.write_text("# a comment\nr1\tcitation\tBAR\n", encoding="utf-8")
+        for enabled in (CATEGORY_REGISTRY, ("copyright",), ()):
+            config = DetectorConfig(enabled_categories=enabled, rules_dir=str(tmp_path))
+            with pytest.raises(DetectorError) as info:
+                detect("FOO and BAR", config)
+            assert str(info.value) == f"{b}:2: duplicate rule id 'r1' (first at {a}:1)"
+        b.unlink()
+        a.write_text("r1\tcopyright\tFOO\nr2\tcitation\tBAR\nr1\tfunding\tBAZ\n",
+                     encoding="utf-8")
+        with pytest.raises(DetectorError) as info:
+            detect("t", DetectorConfig(rules_dir=str(tmp_path)))
+        assert str(info.value) == f"{a}:3: duplicate rule id 'r1' (first at {a}:1)"
 
     def test_group_syntax_inside_a_class_loads(self, tmp_path):
         pack = tmp_path / "x.rules"
@@ -554,11 +589,12 @@ class TestRulePacks:
         with pytest.raises(DetectorError, match="no .rules files"):
             detect("t", DetectorConfig(rules_dir=str(tmp_path)))
 
-    def test_triggers_never_skip_a_match(self, golden_path, monkeypatch):
+    def test_triggers_never_skip_a_match(self, golden_path, monkeypatch, tmp_path):
         """Seeded differential test of the prescreen: on random texts, detect
         with triggers and factors equals detect with both stages removed."""
         rng = random.Random(20240611)
-        configs = (DetectorConfig(), DetectorConfig(custom_rules=CUSTOM_RULES))
+        rules_dir = write_rules(tmp_path, CUSTOM_RULES, builtins=True)
+        configs = (DetectorConfig(), DetectorConfig(rules_dir=rules_dir))
         # Every mandatory literal set of every rule, not only the one each
         # trigger tests: record what _trigger is given while compiling.
         literal_sets = []
@@ -624,7 +660,7 @@ class TestRulePacks:
         }
         assert len(led_by_boundary) == 2
         assert set(factor_skips) >= led_by_boundary, factor_skips
-        found = {d.category for per_config in results for d in per_config[0]}
+        found = {d.span.label for per_config in results for d in per_config[0]}
         assert found == set(CATEGORY_REGISTRY)
         assert {d.rule_id for per_config in results for d in per_config[1]} >= {
             f"custom_{i}" for i in range(len(CUSTOM_RULES))
@@ -642,7 +678,7 @@ class TestRulePacks:
             r: tuple(sorted(t)) for r, t in BUILTIN_TRIGGERS.items()
         }
 
-    def test_factor_table_is_pinned(self):
+    def test_factor_table_is_pinned(self, tmp_path):
         """The factor, too, is cut from the private sre parse tree. Pin which
         built-in rules get one, and check on one rule that its factor starts
         at the first top-level literal, after the leading ``\\b``."""
@@ -650,7 +686,8 @@ class TestRulePacks:
         assert {r for _c, r, _regex, _t, factor in rules if factor is not None} == (
             BUILTIN_FACTORS
         )
-        config = DetectorConfig(custom_rules=(("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),))
+        rules = [("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b")]
+        config = DetectorConfig(rules_dir=write_rules(tmp_path, rules))
         [*_, (_category, _rule_id, _regex, _trigger, factor)] = _compiled_rules(config)
         assert [factor.search(t) is not None for t in ("CD12", "xCD12", "CD123")] == [
             True, True, False
@@ -697,12 +734,13 @@ class TestRulePacks:
         )
         assert {rule_id: runs[rule_id] for rule_id in rules} == dict.fromkeys(rules, 1)
 
-    def test_rule_without_exact_run_gets_empty_trigger(self):
+    def test_rule_without_exact_run_gets_empty_trigger(self, tmp_path):
         """Every literal of [Pp][Mm][Ii][Dd] sits in a class, so the rule has
         the empty trigger, runs on every text and still detects."""
+        rules = [("citation", "[Pp][Mm][Ii][Dd]")]
         config = DetectorConfig(
             enabled_categories=("citation",),
-            custom_rules=(("citation", "[Pp][Mm][Ii][Dd]"),),
+            rules_dir=write_rules(tmp_path, rules, builtins=True),
         )
         [*_, (_category, rule_id, _regex, trigger, factor)] = _compiled_rules(config)
         assert (rule_id, trigger, factor) == ("custom_0", (), None)
@@ -717,50 +755,17 @@ class TestToRemSpans:
     def test_overlap_resolved_longest_first(self):
         from declutter.detectors import Detection
 
-        a = Detection(Span(0, 10, "copyright"), "copyright", "r1")
-        b = Detection(Span(5, 12, "funding"), "funding", "r2")
+        a = Detection(Span(0, 10, "copyright"), "r1")
+        b = Detection(Span(5, 12, "funding"), "r2")
         assert to_rem_spans([a, b]) == [Span(0, 10, "copyright")]
 
     def test_touching_kept_with_their_categories(self):
         from declutter.detectors import Detection
 
-        a = Detection(Span(0, 4, "copyright"), "copyright", "r1")
-        b = Detection(Span(4, 9, "funding"), "funding", "r2")
+        a = Detection(Span(0, 4, "copyright"), "r1")
+        b = Detection(Span(4, 9, "funding"), "r2")
         assert to_rem_spans([a, b]) == [
             Span(0, 4, "copyright"),
             Span(4, 9, "funding"),
         ]
 
-
-class TestLoadPredictions:
-    def test_single_record(self, write_jsonl):
-        path = write_jsonl(
-            [{"id": "a", "text": "abcdef", "spans": [{"start": 0, "end": 3, "label": "REM"}]}]
-        )
-        assert load_predictions(path) == {"a": [Span(0, 3)]}
-
-    def test_overlaps_filtered(self, write_jsonl):
-        path = write_jsonl(
-            [
-                {
-                    "id": "a",
-                    "text": "abcdefghij",
-                    "spans": [
-                        {"start": 0, "end": 5, "label": "REM"},
-                        {"start": 3, "end": 10, "label": "REM"},
-                    ],
-                }
-            ]
-        )
-        assert load_predictions(path) == {"a": [Span(3, 10)]}
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        path.write_text("", encoding="utf-8")
-        assert load_predictions(str(path)) == {}
-
-    def test_duplicate_id_rejected(self, write_jsonl):
-        rec = {"id": "a", "text": "ab", "spans": []}
-        path = write_jsonl([rec, rec])
-        with pytest.raises(CorpusError, match="duplicate id"):
-            load_predictions(path)

@@ -214,9 +214,9 @@ class TestExternalVectors:
             name="vecs.jsonl",
         )
         provider = ExternalVectorProvider.load(path)
-        assert provider.dimension == 2
         got = provider.vector("ignored", "a")
         assert (got.dimension, got.entries) == (2, {0: 1.0, 1: 0.0})
+        assert provider.vector("ignored", "a::cleaned").dimension == 2
 
     def test_missing_id(self, write_jsonl):
         provider = ExternalVectorProvider.load(
