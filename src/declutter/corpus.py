@@ -88,14 +88,16 @@ def _parse_meta(raw: object, where: str) -> AbstractMeta:
     year = raw.get("year")
     if year is not None and type(year) is not int:
         raise CorpusError(f"{where}: meta.year must be an integer")
-    fields = raw.get("fields") or []
-    if not isinstance(fields, list) or not all(isinstance(f, str) for f in fields):
+    fields = raw.get("fields")
+    if fields is not None and (
+        not isinstance(fields, list) or not all(isinstance(f, str) for f in fields)
+    ):
         raise CorpusError(f"{where}: meta.fields must be a list of strings")
     source = raw.get("source")
     if source is not None and not isinstance(source, str):
         raise CorpusError(f"{where}: meta.source must be a string")
     try:
-        return AbstractMeta(year=year, fields=tuple(fields), source=source)
+        return AbstractMeta(year=year, fields=tuple(fields or ()), source=source)
     except ValueError as exc:
         raise CorpusError(f"{where}: {exc}") from exc
 

@@ -15,9 +15,11 @@ stay portable across regex engines.
 Each rule also gets a two-stage prescreen, derived from the same parse. Its
 trigger is one set of literal strings of which every match contains one
 verbatim; its factor, when it has one, is the part of the pattern from its
-first top-level literal on, a regex every match contains. ``detect`` runs a
-rule's regex only on texts that hold a member of the trigger and a match of
-the factor.
+first top-level literal, or branch with a literal in every alternative, on:
+a regex every match contains, at most the factor's reach after the match
+starts. ``detect`` runs a rule's regex only on texts that hold a member of
+the trigger, and a factored rule only from the reach before each match of
+its factor, resuming at the end of the match it finds there.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries,
@@ -80,6 +82,10 @@ class DetectorConfig:
         for name in self.enabled_categories:
             if name not in _CATEGORY_INDEX:
                 raise DetectorError(f"unknown category {name!r}")
+
+
+# What ``detect`` runs without a config; frozen, so one instance serves all.
+_DEFAULT_CONFIG = DetectorConfig()
 
 
 @dataclass(frozen=True)
@@ -178,25 +184,84 @@ def _trigger(sets: list[tuple[str, ...]]) -> tuple[str, ...]:
     return min(candidates, key=lambda c: len(c) / min(map(len, c)), default=())
 
 
-def _factor(tree) -> re.Pattern | None:
-    """The rule's necessary factor: the suffix of its top-level sequence
-    from the first ``LITERAL`` node on, compiled from the parsed ``tree``.
+def _width(state, nodes) -> int:
+    """The most characters a match of the node sequence ``nodes`` can span,
+    as sre's ``getwidth()`` gives it: huge when it is unbounded."""
+    return _sre_parse.SubPattern(state, nodes).getwidth()[1]
 
-    Every match of the pattern ``A·F`` holds a match of ``F`` where ``A``
-    ends, and ``\\b``, ``^`` and ``$`` in ``F`` test the same text there, so
-    a text in which ``F`` has no match holds no match of the rule. sre
-    searches a pattern that starts with a literal by that literal, which
-    it cannot do for a rule led by ``\\b``, a class or an optional group.
-    ``None`` when the first node is a literal (the rule itself is then
-    searched that way) or no top-level node is one.
+
+def _factor(tree) -> tuple[re.Pattern, int] | None:
+    """The rule's necessary factor and its reach, cut from the parsed
+    ``tree``.
+
+    The factor starts at the first top-level node that is a ``LITERAL``, or
+    a ``BRANCH`` each of whose alternatives holds a top-level literal, and
+    runs to the end of the pattern. Each alternative of such a branch is
+    trimmed to start at its first literal. The reach is the widest the part
+    cut off can be: the nodes before the factor plus the widest trimmed
+    prefix.
+
+    Every match of the pattern ``A·(P·L|...)·R`` holds a match of
+    ``(L|...)·R`` where ``P`` ends, at most ``reach`` characters after the
+    match starts, and ``\\b``, ``^`` and ``$`` test the same text there. So
+    a text in which the factor has no match holds no match of the rule, and
+    no match of the rule starts more than ``reach`` characters before the
+    first match of the factor. sre skips ahead by a leading literal, or by
+    the first characters of a leading branch whose alternatives all start
+    with one; a rule led by ``\\b``, a class, an optional group or a branch
+    with a class-led alternative gives it no literal to skip by.
+
+    ``None`` where sre already skips on its own: a pattern led by a literal,
+    by a branch whose alternatives all start with one, or by ``^`` or
+    ``\\A`` (it is tried at the start only); and where no node qualifies.
     """
-    for i, (op, _av) in enumerate(tree.data):
+    data, state = tree.data, tree.state
+    if data and data[0][0].name == "AT" and data[0][1].name in (
+        "AT_BEGINNING", "AT_BEGINNING_STRING"
+    ):
+        return None
+    for i, (op, av) in enumerate(data):
         if op.name == "LITERAL":
             if i == 0:
                 return None
-            suffix = _sre_parse.SubPattern(tree.state, tree.data[i:])
-            return _sre_compile.compile(suffix)
+            head, trimmed = (op, av), 0
+        elif op.name == "BRANCH":
+            alts = av[1]
+            firsts = [
+                next((j for j, (o, _a) in enumerate(alt.data) if o.name == "LITERAL"), None)
+                for alt in alts
+            ]
+            if None in firsts:
+                continue
+            if i == 0 and not any(firsts):
+                return None
+            head = (op, (None, [
+                _sre_parse.SubPattern(state, alt.data[j:]) for alt, j in zip(alts, firsts)
+            ]))
+            trimmed = max(_width(state, alt.data[:j]) for alt, j in zip(alts, firsts))
+        else:
+            continue
+        factor = _sre_parse.SubPattern(state, [head, *data[i + 1 :]])
+        return _sre_compile.compile(factor), _width(state, data[:i]) + trimmed
     return None
+
+
+def _factored_matches(regex: re.Pattern, factor: re.Pattern, reach: int, text: str):
+    """The matches ``regex.finditer(text)`` yields, found by skipping ahead
+    to each match of the factor: the search for the next match resumes
+    ``reach`` characters before the next factor match, where the earliest
+    match that can hold it starts, and stops where the factor has none.
+
+    A factored rule has a mandatory literal, so it never matches empty, and
+    ``finditer`` resumes each search where the last match ended, as here.
+    """
+    pos = 0
+    while (f := factor.search(text, pos)) is not None:
+        m = regex.search(text, max(pos, f.start() - reach))
+        if m is None:
+            return
+        yield m
+        pos = m.end()
 
 
 def _compile_rule(pattern: str, where: str) -> tuple:
@@ -275,8 +340,8 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
 def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
     """``(category, rule_id, regex, trigger, factor)`` of every loaded rule
     of an enabled category, in registry order, pack order within a category.
-    ``trigger`` is a tuple of literal strings, ``factor`` a compiled regex or
-    ``None``.
+    ``trigger`` is a tuple of literal strings, ``factor`` a pair of a
+    compiled regex and its reach, or ``None``.
 
     Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
@@ -367,16 +432,18 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     arguments: same text and config, same detections.
     """
     if config is None:
-        config = DetectorConfig()
+        config = _DEFAULT_CONFIG
     detections: list[Detection] = []
     seen: set[tuple] = set()
     bounds = None
     for category, rule_id, regex, trigger, factor in _compiled_rules(config):
         if not _passes(trigger, text):
             continue
-        if factor is not None and factor.search(text) is None:
-            continue
-        for m in regex.finditer(text):
+        if factor is None:
+            matches = regex.finditer(text)
+        else:
+            matches = _factored_matches(regex, *factor, text)
+        for m in matches:
             s, e = m.span()
             if s == e:
                 continue

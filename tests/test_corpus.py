@@ -89,11 +89,19 @@ def test_load_rejects_bad_span_fields(write_jsonl):
 
 
 def test_load_rejects_bad_year(write_jsonl):
-    path = write_jsonl(
-        [{"id": "a1", "text": "abc", "spans": [], "meta": {"year": 1600}}]
-    )
-    with pytest.raises(CorpusError, match="year"):
-        load_corpus(path)
+    """Bad meta values are rejected by name; only a null or missing
+    ``fields`` means no fields, not any falsy value."""
+    for meta, expected in [
+        ({"year": 1600}, "year"),
+        *(({"fields": bad}, "meta.fields must be a list of strings")
+          for bad in ("", 0, {}, False, "x", ["a", 1])),
+    ]:
+        path = write_jsonl([{"id": "a1", "text": "abc", "spans": [], "meta": meta}])
+        with pytest.raises(CorpusError, match=expected):
+            load_corpus(path)
+    for meta in ({"fields": None}, {}):
+        path = write_jsonl([{"id": "a1", "text": "abc", "spans": [], "meta": meta}])
+        assert load_corpus(path)[0].meta.fields == ()
 
 
 def test_predictions_schema_filters_overlaps(write_jsonl):

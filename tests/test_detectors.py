@@ -88,13 +88,23 @@ BUILTIN_TRIGGERS = {
     "vol_pages": ("ol",),
 }
 
-# The built-in rules that get a necessary factor: those whose first top-level
-# literal comes after a class, an anchor or an optional part.
+# A reach of at least this is unbounded: sre's getwidth() caps the width of
+# an unbounded pattern here or above, depending on the Python version.
+UNBOUNDED = detectors._sre_parse.MAXREPEAT
+
+# The built-in rules that get a necessary factor, and the factor's reach:
+# those whose first top-level literal, or branch with a literal in every
+# alternative, comes after a class, an anchor or an optional part.
 BUILTIN_FACTORS = {
-    "copyright_word", "all_rights_reserved", "licensee", "payment_order",
-    "single_copies", "ctgov_nct", "trial_reg_sentence", "isrctn", "prospero",
-    "eudract", "registered_at", "translation_of", "orig_published", "funding_lead",
-    "funded_by", "grant_no", "arxiv_id", "doi_ref", "journal_vol_pages", "vol_pages",
+    "copyright_word": 1, "all_rights_reserved": 1, "licensee": 1,
+    "payment_order": 1, "single_copies": 1, "ctgov_nct": UNBOUNDED,
+    "trial_reg_sentence": 1, "isrctn": 0, "prospero": UNBOUNDED, "eudract": 0,
+    "registered_at": 1, "translation_of": 1, "orig_published": 1,
+    "funding_lead": 1, "funded_by": 1, "grant_no": 1, "arxiv_id": 0, "doi_ref": 0,
+    "journal_vol_pages": UNBOUNDED, "vol_pages": 1,
+    # Led by a branch with a class-led alternative, or by \b and a branch.
+    "reprint_orders": 1, "support_from": 1, "keywords_list": 1,
+    "heading_embedded": 0, "heading_caps": 0,
 }
 
 # Text pieces for the prescreen differential test: a match of every built-in
@@ -119,6 +129,8 @@ RULE_FRAGMENTS = [
     "Main Outcome Measures - ", "METHODS: ", "KEY POINTS. ",
     "This paper is a translation of", "Translated from the German",
     "Originally published in", "zzqyy", "quuxyy", "zzlongwordyy", "xyzwwdef",
+    "Runestone", "glyphstone", "Quill ;", "QUILL;", "quill\t;", "Cobalt =", "Nickel=",
+    "12kelp#", "KELP#", "Kelp#", "xopal! Mopal!", "Mopal!Nopal!", "XOPAL!",
     "optionalxyzw", "abEFgh", "cdefgh", "wxyz", "alphadelt", "betagammadelt",
     "QXabyy", "QXcdyy", "QXab", "QX5ef", "ZETAKappa", "ZETAkappa", "wq(7)",
     "AB CD12", "AB\tCD99", "CD34", "ABCD56", "kk QQ7", "QQ3", "x-QQ9 z",
@@ -141,6 +153,9 @@ NEAR_MISSES = [
     "wq(x)", "wq()", "wq(", "7)",
     # Hold the literal of a factor rule, but no match of its factor.
     "CD1", "CD123", "CD 12", "CDx12", "AB CD", "cd12", "QQ", "QQ12", "QQa", "kk QQ",
+    # Near misses of the branch-led custom rules.
+    "Rune stone", "stone", "Glyph", "quill", "Quill:", "Cobalt", "xCobalt =",
+    "Nickel -", "kelp", "kelp #", "opal!", "xopal!", "Opal", "MOPAL",
 ]
 FOLD_NOISE = [
     "ß", "ẞ", "STRASSE", "straße", "İ", "i̇", "ı", "Σ", "σ", "ς", "ΟΔΟΣ", "οδος",
@@ -174,6 +189,16 @@ CUSTOM_RULES = (
     # factor, one in a sentence-scoped category.
     ("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),
     ("copyright", r"(?:kk )?\bQQ[0-9]\b"),
+    # Rules led by a branch, which get a factor cut from it: alternatives
+    # led by classes, alternatives of mixed lead width (reach 0 and 1), a
+    # branch behind \b, and one behind an unbounded repeat.
+    ("citation", "(?:[Gg]lyph|[Rr]une)stone"),
+    ("order_info", r"(?:[Qq]uill|QUILL)[ \t]*;"),
+    ("section_heading", r"\b(?:Cobalt|Nickel)[ \t]*="),
+    ("translation", "[0-9]*(?:[Kk]elp|KELP)#"),
+    # The factor matches first where the rule fails ("xopal!"), and matches
+    # come back to back ("Mopal!Nopal!").
+    ("internal_ref", "[A-Z](?:[Oo]pal|OPAL)!"),
 )
 CASINGS = (
     lambda s, rng: s,
@@ -251,17 +276,29 @@ WIDENING_SPACES = (
 
 def detect_counting_runs(monkeypatch, texts, configs):
     """``detect`` on every text under every config, and how many times each
-    rule's regex ran, counted by rule id."""
+    rule's regex ran, counted by rule id: once per ``detect`` call in which
+    it was searched, however many searches that call made."""
     real = detectors._compiled_rules
     runs = Counter()
+    ran = set()
 
     class Counted:
         def __init__(self, rule_id, regex):
             self.rule_id, self.regex = rule_id, regex
 
         def finditer(self, text):
-            runs[self.rule_id] += 1
+            ran.add(self.rule_id)
             return self.regex.finditer(text)
+
+        def search(self, text, pos):
+            ran.add(self.rule_id)
+            return self.regex.search(text, pos)
+
+    def counted_detect(text, config):
+        ran.clear()
+        detections = detect(text, config)
+        runs.update(ran)
+        return detections
 
     counted = {
         config: tuple(
@@ -272,7 +309,7 @@ def detect_counting_runs(monkeypatch, texts, configs):
     }
     with monkeypatch.context() as patch:
         patch.setattr(detectors, "_compiled_rules", counted.__getitem__)
-        results = [[detect(text, config) for config in configs] for text in texts]
+        results = [[counted_detect(text, config) for config in configs] for text in texts]
     return results, runs
 
 
@@ -653,12 +690,12 @@ class TestRulePacks:
             for _category, rule_id, _regex, trigger, factor in _compiled_rules(configs[1])
             if factor is not None
             for text in texts
-            if detectors._passes(trigger, text) and factor.search(text) is None
+            if detectors._passes(trigger, text) and factor[0].search(text) is None
         )
         led_by_boundary = {
             f"custom_{i}" for i, (_c, pattern) in enumerate(CUSTOM_RULES) if "\\b" in pattern
         }
-        assert len(led_by_boundary) == 2
+        assert len(led_by_boundary) == 3
         assert set(factor_skips) >= led_by_boundary, factor_skips
         found = {d.span.label for per_config in results for d in per_config[0]}
         assert found == set(CATEGORY_REGISTRY)
@@ -680,17 +717,59 @@ class TestRulePacks:
 
     def test_factor_table_is_pinned(self, tmp_path):
         """The factor, too, is cut from the private sre parse tree. Pin which
-        built-in rules get one, and check on one rule that its factor starts
-        at the first top-level literal, after the leading ``\\b``."""
+        built-in rules get one and how far it reaches, and check on custom
+        rules where the factor starts."""
         rules = _compiled_rules(DetectorConfig())
-        assert {r for _c, r, _regex, _t, factor in rules if factor is not None} == (
-            BUILTIN_FACTORS
-        )
-        rules = [("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b")]
+        reaches = {
+            r: min(factor[1], UNBOUNDED)
+            for _c, r, _regex, _t, factor in rules
+            if factor is not None
+        }
+        assert reaches == BUILTIN_FACTORS
+        # sre tries a rule led by ^ at the start of the text only; a factor
+        # would scan the whole text for nothing.
+        assert "heading_lead" not in reaches
+        rules = [
+            ("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),
+            ("citation", r"(?:[Qq]uill|QUILL)[ \t]*;"),
+            ("citation", r"\b(?:Cobalt|Nickel)[ \t]*="),
+            ("citation", "[0-9]*(?:[Kk]elp|KELP)#"),
+            ("citation", "[A-Z](?:[Oo]pal|OPAL)!"),
+            # sre skips ahead by these on its own.
+            ("citation", "(?:Glyph|Rune)stone"),
+            ("citation", r"^[ \t]*(?:[Aa]b|AB):"),
+            ("citation", "Opal(?:[Aa]b|AB)"),
+        ]
         config = DetectorConfig(rules_dir=write_rules(tmp_path, rules))
-        [*_, (_category, _rule_id, _regex, _trigger, factor)] = _compiled_rules(config)
-        assert [factor.search(t) is not None for t in ("CD12", "xCD12", "CD123")] == [
+        factors = {r: factor for _c, r, _regex, _t, factor in _compiled_rules(config)}
+        assert {r: f and min(f[1], UNBOUNDED) for r, f in factors.items()} == {
+            "custom_0": UNBOUNDED, "custom_1": 1, "custom_2": 0, "custom_3": UNBOUNDED,
+            "custom_4": 2, "custom_5": None, "custom_6": None, "custom_7": None,
+        }
+        # After the leading \b, from the first top-level literal on.
+        cd = factors["custom_0"][0]
+        assert [cd.search(t) is not None for t in ("CD12", "xCD12", "CD123")] == [
             True, True, False
+        ]
+        # Each alternative trimmed to start at its first literal.
+        quill = factors["custom_1"][0]
+        assert [quill.search(t).span() for t in ("a Quill ;", "QUILL;", "quill;")] == [
+            (3, 9), (0, 6), (1, 6)
+        ]
+        assert quill.search("Quill:") is None
+
+    def test_factored_search_finds_what_finditer_finds(self, tmp_path):
+        """The search resumes before each factor match: past one where the
+        rule fails ("xopal!", whose [A-Z] is missing), and at the end of
+        each match, so back-to-back matches are all found."""
+        pattern = "[A-Z](?:[Oo]pal|OPAL)!"
+        config = DetectorConfig(rules_dir=write_rules(tmp_path, [("citation", pattern)]))
+        [(*_, factor)] = _compiled_rules(config)
+        assert factor[1] == 2
+        text = "xopal! Mopal!NOPAL! opal! Zopal!"
+        spans = [(d.span.start, d.span.end) for d in detect(text, config)]
+        assert spans == [m.span() for m in re.finditer(pattern, text)] == [
+            (7, 13), (13, 19), (26, 32)
         ]
 
     def test_prescreen_skips_rules_whose_literals_are_absent(self, monkeypatch):
