@@ -192,6 +192,15 @@ def _format_stats(stats: CorpusStats) -> str:
 
 
 def cmd_rank_compare(args: argparse.Namespace) -> int:
+    # The flags are checked before any input file is read. Both providers
+    # validate --rules and --categories, used or not.
+    if args.provider == "vectors":
+        if not args.vectors:
+            raise DeclutterError("--vectors is required with --provider vectors")
+    elif args.dim < 1:
+        raise DeclutterError("--dim must be >= 1")
+    config = _detector_config(args)
+
     records = load_corpus(args.input, schema="predictions")
     by_id = {r.id: r for r in records}
     ref_ids = [rid for rid in args.refs.split(",") if rid]
@@ -200,12 +209,8 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
         raise CorpusError(f"id(s) not found in {args.input}: {missing}")
     focal = by_id[args.focal]
     refs = [by_id[rid] for rid in ref_ids]
-    # Both providers validate --rules and --categories, used or not.
-    config = _detector_config(args)
 
     if args.provider == "vectors":
-        if not args.vectors:
-            raise DeclutterError("--vectors is required with --provider vectors")
         provider = ExternalVectorProvider.load(args.vectors)
         # External vectors already encode the cleaned variants.
         spans_for = {}

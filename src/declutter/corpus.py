@@ -21,6 +21,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -65,85 +66,99 @@ class CorpusStats:
     labeled_count: int
 
 
-def _parse_span(raw: object, where: str) -> Span:
+def _parse_span(raw: object) -> Span:
     if not isinstance(raw, dict):
-        raise CorpusError(f"{where}: span must be an object, got {type(raw).__name__}")
+        raise CorpusError(f"span must be an object, got {type(raw).__name__}")
     start, end = raw.get("start"), raw.get("end")
     label = raw.get("label")
     if type(start) is not int or type(end) is not int:
-        raise CorpusError(f"{where}: span start/end must be integers")
+        raise CorpusError("span start/end must be integers")
     if not isinstance(label, str) or not label:
-        raise CorpusError(f"{where}: span label must be a non-empty string")
+        raise CorpusError("span label must be a non-empty string")
     try:
         return Span(start, end, label)
     except ValueError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
+        raise CorpusError(str(exc)) from exc
 
 
-def _parse_meta(raw: object, where: str) -> AbstractMeta:
+def _parse_meta(raw: object) -> AbstractMeta:
     if raw is None:
         return AbstractMeta()
     if not isinstance(raw, dict):
-        raise CorpusError(f"{where}: meta must be an object")
+        raise CorpusError("meta must be an object")
     year = raw.get("year")
     if year is not None and type(year) is not int:
-        raise CorpusError(f"{where}: meta.year must be an integer")
+        raise CorpusError("meta.year must be an integer")
     fields = raw.get("fields")
     if fields is not None and (
-        not isinstance(fields, list) or not all(isinstance(f, str) for f in fields)
+        not isinstance(fields, list) or not all(map(isinstance, fields, repeat(str)))
     ):
-        raise CorpusError(f"{where}: meta.fields must be a list of strings")
+        raise CorpusError("meta.fields must be a list of strings")
     source = raw.get("source")
     if source is not None and not isinstance(source, str):
-        raise CorpusError(f"{where}: meta.source must be a string")
+        raise CorpusError("meta.source must be a string")
     try:
         return AbstractMeta(year=year, fields=tuple(fields or ()), source=source)
     except ValueError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
+        raise CorpusError(str(exc)) from exc
 
 
-def _record_from_obj(obj: object, schema: str, where: str) -> LabeledAbstract:
+def _record_from_obj(obj: object, schema: str) -> LabeledAbstract:
+    """The record ``obj`` holds; a :class:`CorpusError` it raises does not
+    name the line, which the caller adds."""
     if not isinstance(obj, dict):
-        raise CorpusError(f"{where}: record must be a JSON object")
+        raise CorpusError("record must be a JSON object")
     rec_id = obj.get("id")
     text = obj.get("text")
     if not isinstance(rec_id, str) or not rec_id:
-        raise CorpusError(f"{where}: id must be a non-empty string")
+        raise CorpusError("id must be a non-empty string")
     if not isinstance(text, str):
-        raise CorpusError(f"{where}: text must be a string")
+        raise CorpusError("text must be a string")
     raw_spans = obj.get("spans")
     if not isinstance(raw_spans, list):
-        raise CorpusError(f"{where}: spans must be a list")
-    spans = [_parse_span(s, where) for s in raw_spans]
-    meta = _parse_meta(obj.get("meta"), where)
+        raise CorpusError("spans must be a list")
+    spans = list(map(_parse_span, raw_spans))
+    meta = _parse_meta(obj.get("meta"))
 
     if schema == "predictions":
-        spans = filter_spans(spans)
+        if spans:
+            spans = filter_spans(spans)
     else:
         try:
             ensure_finalized(spans, len(text))
         except ValueError as exc:
-            raise CorpusError(f"{where}: record {rec_id!r}: {exc}") from exc
+            raise CorpusError(f"record {rec_id!r}: {exc}") from exc
     return LabeledAbstract(rec_id, text, tuple(spans), meta)
 
 
 def iter_jsonl(
     path: str, error: type[DeclutterError]
-) -> Iterator[tuple[str, object]]:
-    """Yield ``(where, obj)`` for each non-blank line of a JSON Lines file,
-    ``where`` being ``"{path}:{line}"``. A line that is not UTF-8, not JSON,
-    or holds a lone surrogate escape (``"\\ud800"``, which no UTF-8 output
-    can hold) raises ``error`` naming it."""
+) -> Iterator[tuple[int, object]]:
+    """Yield ``(line_number, obj)`` for each non-blank line of a JSON Lines
+    file. A line that is not UTF-8, not JSON, or holds a lone surrogate
+    escape (``"\\ud800"``, which no UTF-8 output can hold) raises ``error``
+    naming it as ``"{path}:{line}"``.
+
+    A line that is one JSON value followed by JSON whitespace costs one call
+    of the decoder's scanner, which json.loads would make at the same place
+    with the same result. Any other line (blank, padded, malformed) goes to
+    json.loads, for its verdict and its exact message.
+    """
+    scan = json.JSONDecoder().scan_once
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise error(f"{where}: malformed line: {exc}") from exc
+                    obj, end = scan(line, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end < 0 or line[end:].strip(" \t\n\r"):
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise error(f"{path}:{lineno}: malformed line: {exc}") from exc
                 # A one-character search is the fast test: most lines hold
                 # no escape at all.
                 if "\\" in line and ("\\ud" in line or "\\uD" in line):
@@ -151,8 +166,10 @@ def iter_jsonl(
                         json.dumps(obj, ensure_ascii=False).encode("utf-8")
                     except UnicodeEncodeError as exc:
                         code = ord(exc.object[exc.start])
-                        raise error(f"{where}: lone surrogate U+{code:04X}") from None
-                yield where, obj
+                        raise error(
+                            f"{path}:{lineno}: lone surrogate U+{code:04X}"
+                        ) from None
+                yield lineno, obj
         except UnicodeDecodeError:
             raise utf8_error(path, Path(path), error) from None
 
@@ -182,10 +199,13 @@ def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:
         raise ValueError(f"unknown schema {schema!r}; expected one of {_SCHEMAS}")
     records: list[LabeledAbstract] = []
     seen: set[str] = set()
-    for where, obj in iter_jsonl(path, CorpusError):
-        record = _record_from_obj(obj, schema, where)
-        if record.id in seen:
-            raise CorpusError(f"{where}: duplicate id {record.id!r}")
+    for lineno, obj in iter_jsonl(path, CorpusError):
+        try:
+            record = _record_from_obj(obj, schema)
+            if record.id in seen:
+                raise CorpusError(f"duplicate id {record.id!r}")
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
         seen.add(record.id)
         records.append(record)
     return records

@@ -24,7 +24,11 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import LabeledAbstract, iter_jsonl
 from .errors import EmbeddingError
-from .textspan import Span, clean_text, tokenize
+from .textspan import Span, clean_text, token_strings
+
+# tokenize is unused here; perfbench/tracer.py wraps
+# declutter.embedding.tokenize.
+from .textspan import tokenize  # noqa: F401
 
 DEFAULT_DIMENSION = 768
 
@@ -77,9 +81,7 @@ class BuiltinProvider:
         self._dimension = dimension
 
     def vector(self, text: str, doc_id: str | None = None) -> EmbeddingVector:
-        tokens = tokenize(text)
-        pieces = map(text.__getitem__, map(slice, tokens.starts, tokens.ends))
-        counts = Counter(map(str.lower, pieces))
+        counts = Counter(map(str.lower, token_strings(text)))
         buckets: dict[int, float] = {}
         # Sorted iteration keeps float accumulation order platform-independent.
         for token, count in sorted(counts.items()):
@@ -126,7 +128,8 @@ class ExternalVectorProvider:
     @classmethod
     def load(cls, path: str) -> "ExternalVectorProvider":
         vectors: dict[str, EmbeddingVector] = {}
-        for where, obj in iter_jsonl(path, EmbeddingError):
+        for lineno, obj in iter_jsonl(path, EmbeddingError):
+            where = f"{path}:{lineno}"
             if not isinstance(obj, dict):
                 raise EmbeddingError(f"{where}: record must be a JSON object")
             vec_id = obj.get("id")

@@ -11,6 +11,7 @@ import re
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable
 
 REM_LABEL = "REM"
@@ -164,6 +165,23 @@ def tokenize(text: str) -> TokenMap:
                 ends.append(match.end())
         pos = end + 1
     return TokenMap(text, tuple(starts), tuple(ends))
+
+
+def token_strings(text: str) -> list[str]:
+    """The tokens :func:`tokenize` finds in ``text``, as strings and without
+    their offsets: a bag of words, alphanumeric pieces first.
+
+    An alphanumeric piece of ``text.split(" ")`` is one token as it stands,
+    and tokenize() finds the same tokens in the other pieces joined by
+    ``" "`` as in ``text`` itself (see its docstring), so only those go
+    through it.
+    """
+    pieces = text.split(" ")
+    rest = " ".join(filterfalse(str.isalnum, pieces))
+    tokens = tokenize(rest)
+    words = list(filter(str.isalnum, pieces))
+    words.extend(map(rest.__getitem__, map(slice, tokens.starts, tokens.ends)))
+    return words
 
 
 def tokens_under(spans: Iterable[Span], token_map: TokenMap) -> set[int]:

@@ -426,6 +426,25 @@ class TestRankCompare:
         assert "no .rules files" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--provider", "vectors"], "--vectors is required"),
+            (["--dim", "0"], "--dim must be >= 1"),
+            (["--categories", "bogus"], "unknown category 'bogus'"),
+        ],
+    )
+    def test_flags_checked_before_input_is_read(self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "no_such_corpus.jsonl"
+        rc, out, err = run(
+            capsys, "rank-compare", "--input", str(missing), "--focal", "f",
+            "--refs", "a,b", *flags,
+        )
+        assert rc == 1
+        assert message in err
+        assert "No such file" not in err
+        assert out == ""
+
     def test_vectors_flag_required(self, write_jsonl, capsys):
         corpus = self._corpus(write_jsonl)
         rc, _, err = run(

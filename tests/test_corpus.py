@@ -1,6 +1,8 @@
 import json
+import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,11 @@ from declutter.corpus import (
     compute_stats,
     load_corpus,
     save_corpus,
+    utf8_error,
 )
-from declutter.errors import CorpusError
-from declutter.textspan import Span
+from declutter.embedding import EmbeddingVector, ExternalVectorProvider
+from declutter.errors import CorpusError, EmbeddingError
+from declutter.textspan import Span, ensure_finalized, filter_spans
 
 
 def test_load_minimal_record(write_jsonl):
@@ -327,3 +331,270 @@ class TestComputeStats:
             LabeledAbstract("b", "abc"),
         ]
         assert compute_stats(records).labeled_count == 1
+
+
+# The per-line json.loads loader that the one-scanner-call reader replaced,
+# verbatim but for its names, as the oracle for load_corpus and
+# ExternalVectorProvider.load: equal records or vectors, or equal error text.
+def oracle_iter_jsonl(path, error):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"{where}: malformed line: {exc}") from exc
+                if "\\" in line and ("\\ud" in line or "\\uD" in line):
+                    try:
+                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        code = ord(exc.object[exc.start])
+                        raise error(f"{where}: lone surrogate U+{code:04X}") from None
+                yield where, obj
+        except UnicodeDecodeError:
+            raise utf8_error(path, Path(path), error) from None
+
+
+def oracle_parse_span(raw, where):
+    if not isinstance(raw, dict):
+        raise CorpusError(f"{where}: span must be an object, got {type(raw).__name__}")
+    start, end = raw.get("start"), raw.get("end")
+    label = raw.get("label")
+    if type(start) is not int or type(end) is not int:
+        raise CorpusError(f"{where}: span start/end must be integers")
+    if not isinstance(label, str) or not label:
+        raise CorpusError(f"{where}: span label must be a non-empty string")
+    try:
+        return Span(start, end, label)
+    except ValueError as exc:
+        raise CorpusError(f"{where}: {exc}") from exc
+
+
+def oracle_parse_meta(raw, where):
+    if raw is None:
+        return AbstractMeta()
+    if not isinstance(raw, dict):
+        raise CorpusError(f"{where}: meta must be an object")
+    year = raw.get("year")
+    if year is not None and type(year) is not int:
+        raise CorpusError(f"{where}: meta.year must be an integer")
+    fields = raw.get("fields")
+    if fields is not None and (
+        not isinstance(fields, list) or not all(isinstance(f, str) for f in fields)
+    ):
+        raise CorpusError(f"{where}: meta.fields must be a list of strings")
+    source = raw.get("source")
+    if source is not None and not isinstance(source, str):
+        raise CorpusError(f"{where}: meta.source must be a string")
+    try:
+        return AbstractMeta(year=year, fields=tuple(fields or ()), source=source)
+    except ValueError as exc:
+        raise CorpusError(f"{where}: {exc}") from exc
+
+
+def oracle_record_from_obj(obj, schema, where):
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{where}: record must be a JSON object")
+    rec_id = obj.get("id")
+    text = obj.get("text")
+    if not isinstance(rec_id, str) or not rec_id:
+        raise CorpusError(f"{where}: id must be a non-empty string")
+    if not isinstance(text, str):
+        raise CorpusError(f"{where}: text must be a string")
+    raw_spans = obj.get("spans")
+    if not isinstance(raw_spans, list):
+        raise CorpusError(f"{where}: spans must be a list")
+    spans = [oracle_parse_span(s, where) for s in raw_spans]
+    meta = oracle_parse_meta(obj.get("meta"), where)
+
+    if schema == "predictions":
+        spans = filter_spans(spans)
+    else:
+        try:
+            ensure_finalized(spans, len(text))
+        except ValueError as exc:
+            raise CorpusError(f"{where}: record {rec_id!r}: {exc}") from exc
+    return LabeledAbstract(rec_id, text, tuple(spans), meta)
+
+
+def oracle_load_corpus(path, schema):
+    records = []
+    seen = set()
+    for where, obj in oracle_iter_jsonl(path, CorpusError):
+        record = oracle_record_from_obj(obj, schema, where)
+        if record.id in seen:
+            raise CorpusError(f"{where}: duplicate id {record.id!r}")
+        seen.add(record.id)
+        records.append(record)
+    return records
+
+
+def oracle_finite_floats(values):
+    if not isinstance(values, list) or not values:
+        return None
+    if not {int, float}.issuperset(map(type, values)):
+        return None
+    try:
+        floats = list(map(float, values))
+    except OverflowError:
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
+def oracle_load_vectors(path):
+    vectors = {}
+    for where, obj in oracle_iter_jsonl(path, EmbeddingError):
+        if not isinstance(obj, dict):
+            raise EmbeddingError(f"{where}: record must be a JSON object")
+        vec_id = obj.get("id")
+        if not isinstance(vec_id, str) or not vec_id:
+            raise EmbeddingError(f"{where}: id must be a non-empty string")
+        values = oracle_finite_floats(obj.get("values"))
+        if values is None:
+            raise EmbeddingError(
+                f"{where}: values must be a non-empty list of finite numbers"
+            )
+        if vec_id in vectors:
+            raise EmbeddingError(f"{where}: duplicate id {vec_id!r}")
+        vectors[vec_id] = EmbeddingVector.from_values(values)
+    return vectors
+
+
+def outcome(load, *args):
+    """What a loader returns, or its exception's type and text."""
+    try:
+        return load(*args)
+    except (CorpusError, EmbeddingError) as exc:
+        return type(exc), str(exc)
+
+
+def verdict(outcome):
+    """The kind of a loader outcome: "ok", or its error text up to the first
+    quoted id or number."""
+    if not isinstance(outcome, tuple):
+        return "ok"
+    return outcome[1].split(": ")[1].split(" '")[0].split(" U+")[0]
+
+
+def _record_line(rng):
+    text = "".join(rng.choice("ab μ’—«» 　İ©.") for _ in range(rng.randint(0, 12)))
+    spans = []
+    for _ in range(rng.randint(0, 2)):
+        start = rng.randint(0, len(text) + 1)
+        spans.append({"start": start, "end": start + rng.randint(1, 3), "label": "REM"})
+    obj = {"id": rng.choice(["a", "b", "c", "d", "e", "f"]), "text": text, "spans": spans}
+    if rng.random() < 0.8:
+        obj["meta"] = rng.choice([
+            *[{"year": 2020, "fields": ["Physics"], "source": "s"}] * 8,
+            *[{"year": 2021, "fields": ["Physics", "Medicine"]}] * 4,
+            *[{"source": "t"}] * 4,
+            {"year": 2020.0, "fields": ["Physics"], "source": "s"},
+            {"year": True},
+            {"year": 1},
+            {"year": 1850},
+            {"fields": ["Physics", "Medicine"]},
+            {"fields": ["Physics", 2]},
+            {"source": 3},
+            {},
+            None,
+            [],
+        ])
+    return json.dumps(obj, ensure_ascii=rng.random() < 0.3)
+
+
+def _vector_line(rng):
+    values = rng.choice([
+        *[[0.5, -1.0], [1, 2], [0.25, 3]] * 4,
+        [1e308, 1e308],
+        [],
+        "x",
+        [True, 1.0],
+        [int("9" * 401), 1.0],
+    ])
+    return json.dumps({"id": rng.choice(["a", "b", "a::cleaned", "c"]), "values": values})
+
+
+def _lines(rng, valid_line):
+    """A few lines, each a valid line or one of the odd forms a reader must
+    take as json.loads takes them."""
+    lines = []
+    for _ in range(rng.randint(1, 8)):
+        line = valid_line(rng)
+        kind = rng.randrange(40)
+        if kind == 0:
+            line = rng.choice(["  ", "\t", " \r "]) + line + rng.choice(["  ", " \t", ""])
+        elif kind == 1:
+            line = "﻿" + line
+        elif kind == 2:
+            line = rng.choice(["{} x", "[] ]", '"s" ,'])
+        elif kind == 3:
+            line = line + rng.choice(["", " "]) + valid_line(rng)
+        elif kind == 4:
+            line = rng.choice(["NaN", "-Infinity", "1", '"a"', "null"])
+        elif kind == 5:
+            line = rng.choice(["\x0c", "", "   ", "\t", "\x0c \x0b"])
+        elif kind == 6:
+            line = line.replace('"a"', '"\\ud800"').replace('"b"', '"x\\uDFFF"')
+        elif kind == 7:
+            line = line[: rng.randrange(len(line) + 1)]
+        elif kind == 8:
+            line = line + rng.choice(["\x0c", "　", " x"])
+        lines.append(line)
+    return lines
+
+
+def _write_lines(path, rng, lines):
+    with open(path, "wb") as fh:
+        for line in lines:
+            fh.write(line.encode("utf-8"))
+            fh.write(rng.choice([b"\n", b"\r\n"]))
+        if rng.random() < 0.03:
+            fh.write(b'{"id": "z", "text": "\xe9", "spans": []}\n')
+
+
+def test_loader_matches_per_line_json_loads(tmp_path):
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for i in range(600):
+        path = str(tmp_path / f"{i}.jsonl")
+        _write_lines(path, rng, _lines(rng, _record_line))
+        for schema in ("gold", "predictions"):
+            want = outcome(oracle_load_corpus, path, schema)
+            assert outcome(load_corpus, path, schema) == want, (path, schema)
+            kinds[verdict(want)] += 1
+    # Every kind of verdict is reached, not only the first error of a file.
+    for kind in ("ok", "malformed line", "lone surrogate", "duplicate id",
+                 "meta.year must be an integer", "not UTF-8 (byte 0xE9)"):
+        assert kinds[kind] >= 10, kinds
+
+
+def test_year_of_another_type_after_a_valid_record(tmp_path):
+    """2020.0 equals the year of a record read before it, and hashes alike,
+    yet still fails the type check; so does true."""
+    for bad in ("2020.0", "true"):
+        path = tmp_path / "years.jsonl"
+        path.write_text(
+            '{"id": "a", "text": "x", "spans": [], "meta": {"year": 2020}}\n'
+            f'{{"id": "b", "text": "x", "spans": [], "meta": {{"year": {bad}}}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusError, match=r"years\.jsonl:2: meta\.year must be an integer$"):
+            load_corpus(str(path), schema="predictions")
+
+
+def test_vector_loader_matches_per_line_json_loads(tmp_path):
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for i in range(800):
+        path = str(tmp_path / f"{i}.jsonl")
+        _write_lines(path, rng, _lines(rng, _vector_line))
+        want = outcome(oracle_load_vectors, path)
+        got = outcome(lambda p: ExternalVectorProvider.load(p)._vectors, path)
+        assert got == want, path
+        kinds[verdict(want)] += 1
+    for kind in ("ok", "malformed line", "lone surrogate", "duplicate id",
+                 "values must be a non-empty list of finite numbers"):
+        assert kinds[kind] >= 10, kinds

@@ -181,6 +181,57 @@ class TestSparseMatchesDense:
                 assert cosine(vec(*a), vec(*b)) == want
 
 
+# The offset-based vector that counting words without offsets replaced,
+# verbatim but for the hash, which is the documented one written out, as the
+# oracle for BuiltinProvider.vector: the vectors must be equal.
+def offset_vector(text, dimension):
+    tokens = tokenize(text)
+    pieces = map(text.__getitem__, map(slice, tokens.starts, tokens.ends))
+    counts = Counter(map(str.lower, pieces))
+    buckets = {}
+    for token, count in sorted(counts.items()):
+        h = int.from_bytes(
+            hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big"
+        )
+        bucket, sign = h % dimension, 1.0 if (h >> 32) & 1 == 0 else -1.0
+        buckets[bucket] = buckets.get(bucket, 0.0) + sign * (1.0 + math.log(count))
+    entries = dict(sorted(buckets.items()))
+    norm = math.sqrt(sum(v * v for v in entries.values()))
+    if norm > 0.0:
+        entries = {k: v / norm for k, v in entries.items()}
+    return EmbeddingVector(
+        dimension, entries, math.sqrt(sum(v * v for v in entries.values()))
+    )
+
+
+class TestWordsWithoutOffsets:
+    PIECES = ("alpha", "Beta", "İstanbul", "İ", "café", "2020", "x1", "’s", "—",
+              "«quote»", "(Fig.", "1)", "[1]", "don’t", "a—b", "©", "x\ty",
+              "\t", "\u00a0", "word\u00a0word", "\u3000", "end.", "", " ", "  ")
+
+    def texts(self, rng, n):
+        texts = ["", " ", "\t", "\u3000", "İ", "  alpha  beta  "]
+        for _ in range(n):
+            pieces = [rng.choice(self.PIECES) for _ in range(rng.randint(1, 30))]
+            texts.append(rng.choice([" ", "  ", "\t", "\u00a0"]).join(pieces))
+        return texts
+
+    @pytest.mark.parametrize("dimension", [1, 7, 768])
+    def test_vectors_equal_offset_oracle(self, dimension):
+        rng = random.Random(20261019 + dimension)
+        texts = self.texts(rng, 200)
+        want = [offset_vector(t, dimension) for t in texts]
+        provider = BuiltinProvider(dimension)
+        got = [provider.vector(t) for t in texts]
+        assert got == want
+        compared = 0
+        for i in range(len(texts) - 1):
+            if want[i].norm and want[i + 1].norm:
+                assert cosine(got[i], got[i + 1]) == cosine(want[i], want[i + 1])
+                compared += 1
+        assert compared > 100
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = BuiltinProvider(dimension=64).vector("self similar text")

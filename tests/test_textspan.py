@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import unicodedata
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from declutter.textspan import (
     clean_text,
     ensure_finalized,
     filter_spans,
+    token_strings,
     tokenize,
     tokens_under,
 )
@@ -264,6 +266,13 @@ class TestTokenizeOracle:
         for text in texts:
             token_map = tokenize(text)
             assert (token_map.starts, token_map.ends) == oracle_tokenize(text)
+
+    def test_token_strings_are_the_tokens_of_tokenize(self):
+        rng = random.Random(43)
+        texts = ["", " ", "  ", "\t", "\u3000", "İ", " a  b ", "(a)", "a\xa0b"]
+        texts += [random_text(rng) for _ in range(3000)]
+        for text in texts:
+            assert Counter(token_strings(text)) == Counter(token_texts(text)), repr(text)
 
     def test_alnum_characters_are_neither_space_nor_punctuation(self):
         """tokenize takes a str.isalnum() piece as one token. That is sound
