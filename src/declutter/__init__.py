@@ -3,7 +3,6 @@ scientific abstracts, score any cleaner token-by-token against gold labels,
 and measure how cleaning shifts embedding-based similarity rankings."""
 
 from .corpus import (
-    AbstractMeta,
     CorpusStats,
     LabeledAbstract,
     compute_stats,
@@ -55,7 +54,6 @@ from .textspan import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractMeta",
     "AbstractOutcome",
     "BuiltinProvider",
     "CATEGORY_REGISTRY",

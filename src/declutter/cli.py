@@ -4,9 +4,6 @@ Four subcommands: ``clean`` runs the rule detectors over a corpus and writes
 the decluttered records, ``eval`` scores a predictions file against gold
 labels, ``stats`` summarizes a corpus, and ``rank-compare`` reports how a
 focal document's reference ranking shifts when everything is cleaned.
-
-The default rule-pack directory can be overridden with the ``DECLUTTER_RULES``
-environment variable or the ``--rules`` flag.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from collections import Counter
 
@@ -38,11 +34,8 @@ from .evaluation import (
 # declutter.cli.filter_spans and declutter.cli.tokenize.
 from .textspan import clean_text, filter_spans, tokenize  # noqa: F401
 
-RULES_ENV_VAR = "DECLUTTER_RULES"
-
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
-    rules_dir = args.rules or os.environ.get(RULES_ENV_VAR) or None
     raw = args.categories
     if raw is None or raw == "all":
         categories = CATEGORY_REGISTRY
@@ -50,7 +43,7 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
         categories = ()
     else:
         categories = tuple(name for name in raw.split(",") if name)
-    config = DetectorConfig(enabled_categories=categories, rules_dir=rules_dir)
+    config = DetectorConfig(enabled_categories=categories, rules_dir=args.rules or None)
     # Compile the packs now: an invalid pack must fail the command even when
     # the corpus is empty and detect never runs on a record.
     detect("", config)
@@ -61,20 +54,16 @@ def cmd_clean(args: argparse.Namespace) -> int:
     records = load_corpus(args.input, schema="predictions")
     config = _detector_config(args)
     counts: Counter[str] = Counter()
-    cleaned_records = []
-    for record in records:
+    for i, record in enumerate(records):
         applied = to_rem_spans(detect(record.text, config))
         cleaned = clean_text(record.text, applied)
         if not applied and cleaned == record.text:
             # A no-op pass keeps the record verbatim, including whatever its
             # spans field already documented; re-cleaning is idempotent.
-            cleaned_records.append(record)
             continue
         counts.update(span.label for span in applied)
-        cleaned_records.append(
-            LabeledAbstract(record.id, cleaned, tuple(applied), record.meta)
-        )
-    save_corpus(cleaned_records, args.output)
+        records[i] = LabeledAbstract(record.id, cleaned, tuple(applied), record.meta)
+    save_corpus(records, args.output)
     print("removals by category:")
     for category in CATEGORY_REGISTRY:
         if category in config.enabled_categories:
@@ -136,8 +125,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     overall = aggregate(outcomes)
     by_labels = aggregate(outcomes, "has_labels")
     category_map = None
-    if any(r.meta.source for r in gold):
-        category_map = {r.id: (r.meta.source or "(none)") for r in gold}
+    if any(r.meta.get("source") for r in gold):
+        category_map = {r.id: (r.meta.get("source") or "(none)") for r in gold}
     by_category = aggregate(outcomes, category_map) if category_map else []
     buckets = length_buckets(outcomes, args.buckets)
 

@@ -5,8 +5,10 @@ The on-disk format is UTF-8 JSON Lines, one record per line::
     {"id": "a1", "text": "...", "spans": [{"start": 0, "end": 12, "label": "REM"}],
      "meta": {"year": 2019, "fields": ["Medicine"], "source": "crawl-2024"}}
 
-``meta`` and all of its keys are optional. Span offsets are half-open Unicode
-scalar-value indices into ``text``. Two schemas are supported:
+``meta`` and all of its keys are optional. ``year``, ``fields`` and ``source``
+are checked, and every key, these or any other, passes through loading and
+saving unchanged. Span offsets are half-open Unicode scalar-value indices
+into ``text``. Two schemas are supported:
 
 * ``gold``: spans must be in bounds, sorted and pairwise disjoint; any
   violation is a hard error naming the offending record.
@@ -32,28 +34,15 @@ _SCHEMAS = ("gold", "predictions")
 
 
 @dataclass(frozen=True)
-class AbstractMeta:
-    """Optional publication metadata used for corpus stratification."""
-
-    year: int | None = None
-    fields: tuple[str, ...] = ()
-    source: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.year is not None and not 1900 <= self.year <= 2100:
-            raise ValueError(f"year {self.year} outside [1900, 2100]")
-        object.__setattr__(self, "fields", tuple(self.fields))
-
-
-@dataclass(frozen=True)
 class LabeledAbstract:
-    """An abstract plus its labeled removal spans (gold or predicted). It is
-    checked when :func:`load_corpus` reads it, not when code builds it."""
+    """An abstract plus its labeled removal spans (gold or predicted) and its
+    JSON ``meta`` object (``{}`` when absent). It is checked when
+    :func:`load_corpus` reads it, not when code builds it."""
 
     id: str
     text: str
     spans: tuple[Span, ...] = ()
-    meta: AbstractMeta = field(default_factory=AbstractMeta)
+    meta: dict = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)
@@ -81,9 +70,9 @@ def _parse_span(raw: object) -> Span:
         raise CorpusError(str(exc)) from exc
 
 
-def _parse_meta(raw: object) -> AbstractMeta:
+def _parse_meta(raw: object) -> dict:
     if raw is None:
-        return AbstractMeta()
+        return {}
     if not isinstance(raw, dict):
         raise CorpusError("meta must be an object")
     year = raw.get("year")
@@ -97,10 +86,9 @@ def _parse_meta(raw: object) -> AbstractMeta:
     source = raw.get("source")
     if source is not None and not isinstance(source, str):
         raise CorpusError("meta.source must be a string")
-    try:
-        return AbstractMeta(year=year, fields=tuple(fields or ()), source=source)
-    except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
+    if year is not None and not 1900 <= year <= 2100:
+        raise CorpusError(f"year {year} outside [1900, 2100]")
+    return raw
 
 
 def _record_from_obj(obj: object, schema: str) -> LabeledAbstract:
@@ -142,7 +130,9 @@ def iter_jsonl(
     A line that is one JSON value followed by JSON whitespace costs one call
     of the decoder's scanner, which json.loads would make at the same place
     with the same result. Any other line (blank, padded, malformed) goes to
-    json.loads, for its verdict and its exact message.
+    json.loads, for its verdict and its exact message. The decoder's other
+    failures, an integer too long to convert or nesting deeper than the
+    recursion limit, are malformed lines too.
     """
     scan = json.JSONDecoder().scan_once
     with open(path, encoding="utf-8") as fh:
@@ -150,14 +140,14 @@ def iter_jsonl(
             for lineno, line in enumerate(fh, start=1):
                 try:
                     obj, end = scan(line, 0)
-                except (StopIteration, json.JSONDecodeError):
+                except (StopIteration, ValueError, RecursionError):
                     end = -1
                 if end < 0 or line[end:].strip(" \t\n\r"):
                     if not line.strip():
                         continue
                     try:
                         obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
+                    except (ValueError, RecursionError) as exc:
                         raise error(f"{path}:{lineno}: malformed line: {exc}") from exc
                 # A one-character search is the fast test: most lines hold
                 # no escape at all.
@@ -219,15 +209,8 @@ def _record_to_obj(record: LabeledAbstract) -> dict:
             {"start": s.start, "end": s.end, "label": s.label} for s in record.spans
         ],
     }
-    meta: dict = {}
-    if record.meta.year is not None:
-        meta["year"] = record.meta.year
-    if record.meta.fields:
-        meta["fields"] = list(record.meta.fields)
-    if record.meta.source is not None:
-        meta["source"] = record.meta.source
-    if meta:
-        obj["meta"] = meta
+    if record.meta:
+        obj["meta"] = record.meta
     return obj
 
 
@@ -275,9 +258,10 @@ def compute_stats(records: Sequence[LabeledAbstract]) -> CorpusStats:
     for record in records:
         if record.spans:
             labeled += 1
-        if record.meta.year is not None:
-            year_counts[record.meta.year] += 1
-        for name in dict.fromkeys(record.meta.fields):
+        year = record.meta.get("year")
+        if year is not None:
+            year_counts[year] += 1
+        for name in dict.fromkeys(record.meta.get("fields") or ()):
             field_counts[name] += 1
 
     def share(count: int) -> float:

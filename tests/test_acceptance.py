@@ -11,7 +11,7 @@ import time
 import unicodedata
 
 from declutter.cli import main
-from declutter.corpus import AbstractMeta, LabeledAbstract, load_corpus, save_corpus
+from declutter.corpus import LabeledAbstract, load_corpus, save_corpus
 from declutter.detectors import detect, to_rem_spans
 from declutter.embedding import BuiltinProvider, rank_references
 from declutter.evaluation import aggregate, score_abstract, token_prf
@@ -339,14 +339,20 @@ def test_criterion_7_round_trip_persistence(tmp_path):
     for i in range(1000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80)))
         spans = tuple(_random_span_set(rng, len(text)))
-        meta = AbstractMeta(
-            year=rng.choice([None, 1970, 2018, 2024]),
-            fields=tuple(
-                rng.sample(["Medicine", "Physics", "Φυσική"], rng.randint(0, 2))
-            ),
-            source=rng.choice([None, "crawl-b", "регистр"]),
-        )
-        records.append(LabeledAbstract(f"r{i:04d}", text, spans, meta))
+        # meta is a JSON object: the checked keys, each possibly null, and
+        # unknown keys of any JSON value, any of them missing, in any order.
+        items = [
+            ("year", rng.choice([None, 1970, 2018, 2024])),
+            ("fields", rng.choice([
+                None, rng.sample(["Medicine", "Physics", "Φυσική"], rng.randint(0, 2))
+            ])),
+            ("source", rng.choice([None, "crawl-b", "регистр"])),
+            ("doi", rng.choice(["10.1/x", None])),
+            ("license", rng.choice(["CC-BY", 4, 2.5, False, ["a", {"b": None}]])),
+        ]
+        items = [item for item in items if rng.random() < 0.7]
+        rng.shuffle(items)
+        records.append(LabeledAbstract(f"r{i:04d}", text, spans, dict(items)))
     first = tmp_path / "corpus.jsonl"
     save_corpus(records, str(first))
     loaded = load_corpus(str(first))

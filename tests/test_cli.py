@@ -91,22 +91,59 @@ class TestClean:
         (record,) = load_corpus(str(out), schema="predictions")
         assert record.text == "© 2020 Pub"
 
-    def test_rules_env_var(self, write_jsonl, tmp_path, capsys, monkeypatch):
+    def test_rules_flag_replaces_builtin_packs(
+        self, write_jsonl, tmp_path, capsys, monkeypatch
+    ):
         rules = tmp_path / "rules"
         rules.mkdir()
         (rules / "mine.rules").write_text(
             "my_rule\tcopyright\tZAPME\n", encoding="utf-8"
         )
-        monkeypatch.setenv("DECLUTTER_RULES", str(rules))
         path = write_jsonl(
             [{"id": "a", "text": "Before. ZAPME stays not. © 2020 X", "spans": []}]
         )
         out = tmp_path / "out.jsonl"
-        rc, _, _ = run(capsys, "clean", "--input", path, "--output", str(out))
+        rc, _, _ = run(
+            capsys, "clean", "--input", path, "--output", str(out), "--rules", str(rules)
+        )
         assert rc == 0
         (record,) = load_corpus(str(out), schema="predictions")
         assert "ZAPME" not in record.text
         assert "© 2020 X" in record.text  # built-in packs were replaced
+
+        # No environment variable stands in for --rules.
+        monkeypatch.setenv("DECLUTTER_RULES", str(rules))
+        rc, _, _ = run(capsys, "clean", "--input", path, "--output", str(out))
+        assert rc == 0
+        (record,) = load_corpus(str(out), schema="predictions")
+        assert "ZAPME" in record.text
+        assert "© 2020 X" not in record.text
+
+    def test_meta_passes_through(self, write_jsonl, tmp_path, capsys):
+        """Every meta key, value and key order comes out as it went in, on a
+        record cleaned and on one left untouched, and re-cleaning gives the
+        same bytes. (Unknown top-level fields, such as this ``doi``, are
+        still dropped.)"""
+        metas = [
+            {"year": 2020, "journal": "J"},
+            {"source": "s", "doi": "10.1/x", "fields": [], "year": None, "journal": "J"},
+        ]
+        path = write_jsonl([
+            {"id": "a", "text": "Plain text.", "spans": [], "doi": "10.1/x", "meta": metas[0]},
+            {"id": "b", "text": "Plain text. © 2020 X", "spans": [], "meta": metas[0]},
+            {"id": "c", "text": "Plain text.", "spans": [], "meta": metas[1]},
+            {"id": "d", "text": "Plain text. © 2020 X", "spans": [], "meta": metas[1]},
+        ])
+        first, second = tmp_path / "o1.jsonl", tmp_path / "o2.jsonl"
+        assert run(capsys, "clean", "--input", path, "--output", str(first))[0] == 0
+        lines = first.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["spans"] == [] for line in lines] == [
+            True, False, True, False
+        ]
+        for line, meta in zip(lines, [metas[0], metas[0], metas[1], metas[1]]):
+            assert line.endswith(f', "meta": {json.dumps(meta)}}}')
+        assert run(capsys, "clean", "--input", str(first), "--output", str(second))[0] == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_invalid_rule_pack_fails_on_empty_corpus(self, write_jsonl, tmp_path, capsys):
         rules = tmp_path / "rules"
@@ -189,6 +226,52 @@ class TestUndecodableInput:
         rc, _, err = run(capsys, "clean", "--input", str(corpus), "--output", str(out))
         assert (rc, err) == (1, f"error: {corpus}:2: lone surrogate U+D800\n")
         assert not out.exists()
+
+
+class TestDecoderLimits:
+    """A line the JSON decoder gives up on, an integer too long to convert
+    or nesting deeper than the recursion limit, fails as a malformed line
+    with exit 1, never a traceback."""
+
+    GOOD = TestUndecodableInput.GOOD
+    LINES = [
+        b'{"id": "b", "text": "x", "spans": [], "meta": {"year": ' + b"9" * 5000 + b"}}",
+        b"[" * 100_000,
+    ]
+
+    def test_corpus_line(self, tmp_path, capsys):
+        corpus = tmp_path / "deep.jsonl"
+        out = tmp_path / "out.jsonl"
+        for line in self.LINES:
+            corpus.write_bytes(self.GOOD + line + b"\n")
+            for argv in (
+                ("clean", "--input", str(corpus), "--output", str(out)),
+                ("stats", "--input", str(corpus)),
+                ("eval", "--gold", str(corpus), "--pred", str(corpus)),
+            ):
+                rc, stdout, err = run(capsys, *argv)
+                assert (rc, stdout) == (1, ""), argv
+                assert err.startswith(f"error: {corpus}:2: malformed line: "), err[:200]
+                assert err.count("\n") == 1
+            assert not out.exists()
+
+    def test_vectors_line(self, write_jsonl, tmp_path, capsys):
+        corpus = write_jsonl(
+            [
+                {"id": "f", "text": "Focal text.", "spans": []},
+                {"id": "a", "text": "Some text.", "spans": []},
+            ]
+        )
+        vectors = tmp_path / "v.jsonl"
+        for line in self.LINES:
+            vectors.write_bytes(b'{"id": "f", "values": [1.0]}\n' + line + b"\n")
+            rc, stdout, err = run(
+                capsys, "rank-compare", "--input", corpus, "--focal", "f",
+                "--refs", "a", "--provider", "vectors", "--vectors", str(vectors),
+            )
+            assert (rc, stdout) == (1, "")
+            assert err.startswith(f"error: {vectors}:2: malformed line: "), err[:200]
+            assert err.count("\n") == 1
 
 
 class TestEval:

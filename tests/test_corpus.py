@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from declutter.corpus import (
-    AbstractMeta,
     LabeledAbstract,
     compute_stats,
     load_corpus,
@@ -26,8 +25,7 @@ def test_load_minimal_record(write_jsonl):
     assert records[0].id == "a1"
     assert records[0].text == "Hi."
     assert records[0].spans == ()
-    meta = records[0].meta
-    assert (meta.year, meta.fields, meta.source) == (None, (), None)
+    assert records[0].meta == {}
 
 
 def test_load_span_out_of_bounds(write_jsonl):
@@ -94,7 +92,7 @@ def test_load_rejects_bad_span_fields(write_jsonl):
 
 def test_load_rejects_bad_year(write_jsonl):
     """Bad meta values are rejected by name; only a null or missing
-    ``fields`` means no fields, not any falsy value."""
+    ``fields`` means no fields, not any falsy value, and it loads as written."""
     for meta, expected in [
         ({"year": 1600}, "year"),
         *(({"fields": bad}, "meta.fields must be a list of strings")
@@ -105,7 +103,21 @@ def test_load_rejects_bad_year(write_jsonl):
             load_corpus(path)
     for meta in ({"fields": None}, {}):
         path = write_jsonl([{"id": "a1", "text": "abc", "spans": [], "meta": meta}])
-        assert load_corpus(path)[0].meta.fields == ()
+        records = load_corpus(path)
+        assert records[0].meta == meta
+        assert compute_stats(records).by_field == {}
+
+
+def test_loaded_record_is_hashable(write_jsonl):
+    """``meta`` is a dict and takes no part in the hash, so a loaded record
+    hashes as the same record without it."""
+    path = write_jsonl([{
+        "id": "a", "text": "abc", "spans": [{"start": 0, "end": 1, "label": "REM"}],
+        "meta": {"year": 2020, "doi": "10.1/x", "fields": ["X"]},
+    }])
+    (record,) = load_corpus(path)
+    assert hash(record) == hash(LabeledAbstract("a", "abc", record.spans))
+    assert {record: 1}[record] == 1
 
 
 def test_predictions_schema_filters_overlaps(write_jsonl):
@@ -157,12 +169,19 @@ def _random_record(rng: random.Random, idx: int) -> LabeledAbstract:
         end = rng.randint(start + 1, len(text))
         spans.append(Span(start, end))
         cursor = end
-    meta = AbstractMeta(
-        year=rng.choice([None, 1970, 2018, 2024]),
-        fields=tuple(rng.sample(["Medicine", "Physics", "Economics"], rng.randint(0, 3))),
-        source=rng.choice([None, "crawl-a", "μ-set"]),
-    )
-    return LabeledAbstract(f"r{idx:04d}", text, tuple(spans), meta)
+    fields = rng.sample(["Medicine", "Physics", "Economics"], rng.randint(0, 3))
+    items = [
+        ("year", rng.choice([None, 1970, 2018, 2024])),
+        ("fields", rng.choice([None, fields])),
+        ("source", rng.choice([None, "crawl-a", "μ-set"])),
+        ("doi", "10.1/x"),
+        ("journal", rng.choice(["J", "Ж μ", None])),
+        ("pages", rng.choice([12, 0.5, True, [1, None], {"from": "e1"}])),
+    ]
+    # Any key may be missing, and the rest come in any order.
+    items = [item for item in items if rng.random() < 0.7]
+    rng.shuffle(items)
+    return LabeledAbstract(f"r{idx:04d}", text, tuple(spans), dict(items))
 
 
 def parent_gold_accepts(text, spans):
@@ -279,9 +298,9 @@ class TestComputeStats:
 
     def test_year_shares_hand_counted(self):
         records = [
-            LabeledAbstract("a", "t", meta=AbstractMeta(year=2018)),
-            LabeledAbstract("b", "t", meta=AbstractMeta(year=2018)),
-            LabeledAbstract("c", "t", meta=AbstractMeta(year=2019)),
+            LabeledAbstract("a", "t", meta={"year": 2018}),
+            LabeledAbstract("b", "t", meta={"year": 2018}),
+            LabeledAbstract("c", "t", meta={"year": 2019}),
             LabeledAbstract("d", "t"),
         ]
         stats = compute_stats(records)
@@ -290,11 +309,11 @@ class TestComputeStats:
 
     def test_field_share_rounds_to_table_value(self):
         records = [
-            LabeledAbstract(f"m{i}", "t", meta=AbstractMeta(fields=("Medicine",)))
+            LabeledAbstract(f"m{i}", "t", meta={"fields": ["Medicine"]})
             for i in range(2171)
         ]
         records += [
-            LabeledAbstract(f"o{i}", "t", meta=AbstractMeta(fields=("Physics",)))
+            LabeledAbstract(f"o{i}", "t", meta={"fields": ["Physics"]})
             for i in range(9000 - 2171)
         ]
         stats = compute_stats(records)
@@ -305,22 +324,22 @@ class TestComputeStats:
 
     def test_multi_field_counts_can_exceed_total(self):
         records = [
-            LabeledAbstract("a", "t", meta=AbstractMeta(fields=("X", "Y"))),
-            LabeledAbstract("b", "t", meta=AbstractMeta(fields=("X",))),
+            LabeledAbstract("a", "t", meta={"fields": ["X", "Y"]}),
+            LabeledAbstract("b", "t", meta={"fields": ["X"]}),
         ]
         stats = compute_stats(records)
         assert sum(c for c, _ in stats.by_field.values()) == 3 > stats.total
 
     def test_duplicate_field_in_one_record_counts_once(self):
         stats = compute_stats(
-            [LabeledAbstract("a", "t", meta=AbstractMeta(fields=("X", "X")))]
+            [LabeledAbstract("a", "t", meta={"fields": ["X", "X"]})]
         )
         assert stats.by_field["X"] == (1, 100.0)
 
     def test_field_ordering_desc_count_then_name(self):
         records = [
-            LabeledAbstract("a", "t", meta=AbstractMeta(fields=("B", "A"))),
-            LabeledAbstract("b", "t", meta=AbstractMeta(fields=("B",))),
+            LabeledAbstract("a", "t", meta={"fields": ["B", "A"]}),
+            LabeledAbstract("b", "t", meta={"fields": ["B"]}),
         ]
         stats = compute_stats(records)
         assert list(stats.by_field) == ["B", "A"]
@@ -334,7 +353,8 @@ class TestComputeStats:
 
 
 # The per-line json.loads loader that the one-scanner-call reader replaced,
-# verbatim but for its names, as the oracle for load_corpus and
+# verbatim but for its names and the meta object it returns (the checked
+# dict itself, as load_corpus keeps it), as the oracle for load_corpus and
 # ExternalVectorProvider.load: equal records or vectors, or equal error text.
 def oracle_iter_jsonl(path, error):
     with open(path, encoding="utf-8") as fh:
@@ -375,7 +395,7 @@ def oracle_parse_span(raw, where):
 
 def oracle_parse_meta(raw, where):
     if raw is None:
-        return AbstractMeta()
+        return {}
     if not isinstance(raw, dict):
         raise CorpusError(f"{where}: meta must be an object")
     year = raw.get("year")
@@ -389,10 +409,9 @@ def oracle_parse_meta(raw, where):
     source = raw.get("source")
     if source is not None and not isinstance(source, str):
         raise CorpusError(f"{where}: meta.source must be a string")
-    try:
-        return AbstractMeta(year=year, fields=tuple(fields or ()), source=source)
-    except ValueError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
+    if year is not None and not 1900 <= year <= 2100:
+        raise CorpusError(f"{where}: year {year} outside [1900, 2100]")
+    return raw
 
 
 def oracle_record_from_obj(obj, schema, where):
@@ -491,6 +510,8 @@ def _record_line(rng):
             *[{"year": 2020, "fields": ["Physics"], "source": "s"}] * 8,
             *[{"year": 2021, "fields": ["Physics", "Medicine"]}] * 4,
             *[{"source": "t"}] * 4,
+            *[{"doi": "10.1/x", "fields": [], "year": None, "journal": "J"}] * 2,
+            {"year": 2020, "extra": {"pages": [1, 2]}},
             {"year": 2020.0, "fields": ["Physics"], "source": "s"},
             {"year": True},
             {"year": 1},

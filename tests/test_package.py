@@ -7,7 +7,6 @@ import declutter
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = [
-    "AbstractMeta",
     "AbstractOutcome",
     "BuiltinProvider",
     "CATEGORY_REGISTRY",
@@ -48,10 +47,10 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_pinned():
-    """The package exports exactly these 37 names, so the surface cannot grow
+    """The package exports exactly these 36 names, so the surface cannot grow
     or shrink by accident."""
     assert declutter.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     assert all(hasattr(declutter, name) for name in PUBLIC_NAMES)
 
 
