@@ -17,6 +17,7 @@ from collections import Counter
 from .corpus import LabeledAbstract, CorpusStats, compute_stats, load_corpus, save_corpus
 from .detectors import CATEGORY_REGISTRY, DetectorConfig, detect, to_rem_spans
 from .embedding import (
+    CLEANED_ID_SUFFIX,
     DEFAULT_DIMENSION,
     BuiltinProvider,
     ExternalVectorProvider,
@@ -191,25 +192,27 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
     config = _detector_config(args)
 
     records = load_corpus(args.input, schema="predictions")
-    by_id = {r.id: r for r in records}
+    texts = {r.id: r.text for r in records}
     ref_ids = [rid for rid in args.refs.split(",") if rid]
-    missing = [rid for rid in [args.focal, *ref_ids] if rid not in by_id]
+    ids = [args.focal, *ref_ids]
+    missing = [rid for rid in ids if rid not in texts]
     if missing:
         raise CorpusError(f"id(s) not found in {args.input}: {missing}")
-    focal = by_id[args.focal]
-    refs = [by_id[rid] for rid in ref_ids]
 
+    # Every record is embedded before and after cleaning: the builtin
+    # provider embeds its text and its cleaned text, and a vector file holds
+    # the vector of the cleaned text under <id>::cleaned.
     if args.provider == "vectors":
         provider = ExternalVectorProvider.load(args.vectors)
-        # External vectors already encode the cleaned variants.
-        spans_for = {}
+        before = {i: provider.vector(i) for i in ids}
+        after = {i: provider.vector(i + CLEANED_ID_SUFFIX) for i in ids}
     else:
         provider = BuiltinProvider(dimension=args.dim)
-        spans_for = {
-            r.id: to_rem_spans(detect(r.text, config)) for r in [focal, *refs]
-        }
+        spans = {i: to_rem_spans(detect(texts[i], config)) for i in ids}
+        before = {i: provider.vector(texts[i]) for i in ids}
+        after = {i: provider.vector(clean_text(texts[i], spans[i])) for i in ids}
 
-    delta = rank_references(focal, refs, spans_for, provider)
+    delta = rank_references(args.focal, ref_ids, before, after)
     print(f"focal: {delta.focal_id}")
     print("order before: " + ", ".join(delta.order_before))
     print("order after:  " + ", ".join(delta.order_after))

@@ -22,13 +22,13 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .corpus import LabeledAbstract, iter_jsonl
+from .corpus import iter_jsonl
 from .errors import EmbeddingError
-from .textspan import Span, clean_text, token_strings
+from .textspan import token_strings
 
-# tokenize is unused here; perfbench/tracer.py wraps
-# declutter.embedding.tokenize.
-from .textspan import tokenize  # noqa: F401
+# clean_text and tokenize are unused here; perfbench/tracer.py wraps
+# declutter.embedding.clean_text and declutter.embedding.tokenize.
+from .textspan import clean_text, tokenize  # noqa: F401
 
 DEFAULT_DIMENSION = 768
 
@@ -80,7 +80,7 @@ class BuiltinProvider:
             raise EmbeddingError("dimension must be >= 1")
         self._dimension = dimension
 
-    def vector(self, text: str, doc_id: str | None = None) -> EmbeddingVector:
+    def vector(self, text: str) -> EmbeddingVector:
         counts = Counter(map(str.lower, token_strings(text)))
         buckets: dict[int, float] = {}
         # Sorted iteration keeps float accumulation order platform-independent.
@@ -96,7 +96,7 @@ class BuiltinProvider:
         return EmbeddingVector(self._dimension, entries, _norm(entries.values()))
 
 
-def _finite_floats(values: object) -> list[float] | None:
+def _finite_floats(values: object) -> tuple[float, ...] | None:
     """``values`` as floats if it is a non-empty list of finite JSON numbers,
     else None. json.loads accepts NaN and Infinity, either of which makes
     every cosine NaN, and integers of any size, which a float cannot hold."""
@@ -105,7 +105,7 @@ def _finite_floats(values: object) -> list[float] | None:
     if not {int, float}.issuperset(map(type, values)):
         return None
     try:
-        floats = list(map(float, values))
+        floats = tuple(map(float, values))
     except OverflowError:
         return None
     return floats if all(map(math.isfinite, floats)) else None
@@ -116,18 +116,18 @@ class ExternalVectorProvider:
 
     The file is JSON Lines, one ``{"id": ..., "values": [...]}`` object per
     line; all vectors must share one dimension. Vectors of cleaned texts are
-    stored under ``<id>::cleaned``.
+    stored under ``<id>::cleaned``. Each vector is kept as a tuple of floats,
+    about a third of the memory of an :class:`EmbeddingVector`, and becomes
+    one when it is looked up.
     """
 
-    def __init__(self, vectors: Mapping[str, EmbeddingVector]):
-        dims = {v.dimension for v in vectors.values()}
-        if len(dims) > 1:
-            raise EmbeddingError(f"inconsistent vector dimensions: {sorted(dims)}")
+    def __init__(self, vectors: Mapping[str, Sequence[float]]):
         self._vectors = dict(vectors)
 
     @classmethod
     def load(cls, path: str) -> "ExternalVectorProvider":
-        vectors: dict[str, EmbeddingVector] = {}
+        vectors: dict[str, tuple[float, ...]] = {}
+        first_line = dimension = 0  # of the first vector
         for lineno, obj in iter_jsonl(path, EmbeddingError):
             where = f"{path}:{lineno}"
             if not isinstance(obj, dict):
@@ -142,13 +142,21 @@ class ExternalVectorProvider:
                 )
             if vec_id in vectors:
                 raise EmbeddingError(f"{where}: duplicate id {vec_id!r}")
-            vectors[vec_id] = EmbeddingVector.from_values(values)
+            if not dimension:
+                first_line, dimension = lineno, len(values)
+            elif len(values) != dimension:
+                raise EmbeddingError(
+                    f"{where}: dimension {len(values)}, "
+                    f"but line {first_line} has {dimension}"
+                )
+            vectors[vec_id] = values
         return cls(vectors)
 
-    def vector(self, text: str, doc_id: str | None = None) -> EmbeddingVector:
-        if doc_id is None or doc_id not in self._vectors:
+    def vector(self, doc_id: str) -> EmbeddingVector:
+        values = self._vectors.get(doc_id)
+        if values is None:
             raise EmbeddingError(f"no ingested vector for id {doc_id!r}")
-        return self._vectors[doc_id]
+        return EmbeddingVector.from_values(values)
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -161,16 +169,11 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.norm == 0.0 or b.norm == 0.0:
         raise EmbeddingError("cosine undefined for zero-norm embedding")
     x, y = a.entries, b.entries
-    if len(x) == len(y) == a.dimension:
-        # Both hold every index, in ascending order: external vectors do.
-        dot = sum(map(mul, x.values(), y.values()))
-    else:
-        if len(y) < len(x):
-            x, y = y, x
-        # The shared indices, ascending; see _norm for why the others add
-        # nothing.
-        shared = list(filter(y.__contains__, x))
-        dot = sum(map(mul, map(x.__getitem__, shared), map(y.__getitem__, shared)))
+    if len(y) < len(x):
+        x, y = y, x
+    # The shared indices, ascending; see _norm for why the others add nothing.
+    shared = list(filter(y.__contains__, x))
+    dot = sum(map(mul, map(x.__getitem__, shared), map(y.__getitem__, shared)))
     return dot / (a.norm * b.norm)
 
 
@@ -194,52 +197,35 @@ class RankingDelta:
 
 
 def rank_references(
-    focal: LabeledAbstract,
-    refs: Sequence[LabeledAbstract],
-    spans_for: Mapping[str, Sequence[Span]],
-    provider,
+    focal_id: str,
+    ref_ids: Sequence[str],
+    before: Mapping[str, EmbeddingVector],
+    after: Mapping[str, EmbeddingVector],
 ) -> RankingDelta:
-    """Rank references by cosine to the focal document, before and after
-    cleaning all texts with the spans in ``spans_for`` (ids without spans are
-    cleaned with an empty set, i.e. only trimmed).
+    """Rank references by cosine to the focal document, once over the
+    ``before`` vectors and once over the ``after`` vectors.
 
-    With an external-vector provider the cleaned variants are looked up under
-    ``<id>::cleaned``.
+    Each map takes the focal id and every reference id to a vector; which
+    texts they embed (say, each record before and after cleaning) is the
+    caller's choice.
     """
-    refs = list(refs)
-    if len(refs) < 2:
+    ids = list(ref_ids)
+    if len(ids) < 2:
         raise EmbeddingError("need at least 2 references to rank")
-    ids = [r.id for r in refs]
-    if len(set(ids)) != len(ids) or focal.id in ids:
+    if len(set(ids)) != len(ids) or focal_id in ids:
         raise EmbeddingError("reference ids must be unique and differ from the focal id")
 
-    def ordering(cosines: dict[str, float]) -> tuple[str, ...]:
-        return tuple(sorted(ids, key=lambda i: (-cosines[i], i)))
+    def ranked(vectors: Mapping[str, EmbeddingVector]):
+        focal = vectors[focal_id]
+        cos = {i: cosine(focal, vectors[i]) for i in ids}
+        return cos, tuple(sorted(ids, key=lambda i: (-cos[i], i)))
 
-    focal_before = provider.vector(focal.text, focal.id)
-    cos_before = {
-        r.id: cosine(focal_before, provider.vector(r.text, r.id)) for r in refs
-    }
-    focal_after = provider.vector(
-        clean_text(focal.text, spans_for.get(focal.id, [])),
-        focal.id + CLEANED_ID_SUFFIX,
-    )
-    cos_after = {
-        r.id: cosine(
-            focal_after,
-            provider.vector(
-                clean_text(r.text, spans_for.get(r.id, [])),
-                r.id + CLEANED_ID_SUFFIX,
-            ),
-        )
-        for r in refs
-    }
-    order_before = ordering(cos_before)
-    order_after = ordering(cos_after)
+    cos_before, order_before = ranked(before)
+    cos_after, order_after = ranked(after)
     rank_before = {rid: i for i, rid in enumerate(order_before)}
     rank_after = {rid: i for i, rid in enumerate(order_after)}
     return RankingDelta(
-        focal_id=focal.id,
+        focal_id=focal_id,
         order_before=order_before,
         order_after=order_after,
         cosines_before=cos_before,

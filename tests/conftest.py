@@ -37,6 +37,12 @@ def golden_path() -> pathlib.Path:
 
 
 @pytest.fixture
+def golden_vectors_path() -> pathlib.Path:
+    """8-dim vectors of g01-g10, plain and under ``<id>::cleaned``."""
+    return DATA_DIR / "golden_vectors.jsonl"
+
+
+@pytest.fixture
 def clutter_cases() -> list[tuple[str, str, str, str]]:
     return CLUTTER_CASES
 

@@ -296,13 +296,18 @@ def _oracle_order(focal_vec, ref_vecs):
 
 
 def test_criterion_6_ranking_protocol():
-    records = {rid: LabeledAbstract(rid, text) for rid, text in _RANK_FIXTURE.items()}
-    refs = [records["a"], records["b"], records["c"]]
-    spans_for = {
-        rid: to_rem_spans(detect(rec.text)) for rid, rec in records.items()
-    }
+    spans_for = {rid: to_rem_spans(detect(text)) for rid, text in _RANK_FIXTURE.items()}
     provider = BuiltinProvider(dimension=8)
-    delta = rank_references(records["f"], refs, spans_for, provider)
+
+    def vectors(spans):
+        """Each fixture text's vector after cleaning it with its spans."""
+        return {
+            rid: provider.vector(clean_text(text, spans.get(rid, [])))
+            for rid, text in _RANK_FIXTURE.items()
+        }
+
+    before = {rid: provider.vector(text) for rid, text in _RANK_FIXTURE.items()}
+    delta = rank_references("f", ["a", "b", "c"], before, vectors(spans_for))
 
     before_oracle = _oracle_order(
         _oracle_embed(_RANK_FIXTURE["f"]),
@@ -321,7 +326,7 @@ def test_criterion_6_ranking_protocol():
     assert delta.displacement == 2
 
     # with detectors disabled cleaning is the identity up to trimming
-    untouched = rank_references(records["f"], refs, {}, provider)
+    untouched = rank_references("f", ["a", "b", "c"], before, vectors({}))
     assert not untouched.changed
     assert untouched.displacement == 0
     _passed(6, "shared-copyright fixture flips the ranking exactly as the oracle says")

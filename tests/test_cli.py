@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import time
 
 import pytest
@@ -482,6 +483,94 @@ class TestRankCompare:
         )
         assert rc == 0
         assert "order before: b, a, c" in out
+
+    def test_golden_vectors_match_dense_oracle(
+        self, golden_path, golden_vectors_path, tmp_path, capsys
+    ):
+        refs = [f"g{i:02d}" for i in range(2, 11)]
+        report = tmp_path / "delta.json"
+        rc, out, _ = run(
+            capsys, "rank-compare", "--input", str(golden_path), "--focal", "g01",
+            "--refs", ",".join(refs), "--provider", "vectors",
+            "--vectors", str(golden_vectors_path), "--report", str(report),
+        )
+        assert rc == 0
+        with open(golden_vectors_path, encoding="utf-8") as fh:
+            values = {obj["id"]: obj["values"] for obj in map(json.loads, fh)}
+
+        def dense_cosine(a, b):
+            norm = math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
+            return sum(x * y for x, y in zip(a, b)) / norm
+
+        want = {}
+        for side, suffix in (("before", ""), ("after", "::cleaned")):
+            cosines = {
+                r: dense_cosine(values["g01" + suffix], values[r + suffix]) for r in refs
+            }
+            want[f"cosines_{side}"] = cosines
+            want[f"order_{side}"] = sorted(refs, key=lambda r: (-cosines[r], r))
+        rank_before = {r: i for i, r in enumerate(want["order_before"])}
+        rank_after = {r: i for i, r in enumerate(want["order_after"])}
+        want.update(
+            focal_id="g01",
+            changed=want["order_before"] != want["order_after"],
+            top1_changed=want["order_before"][0] != want["order_after"][0],
+            displacement=sum(abs(rank_before[r] - rank_after[r]) for r in refs),
+        )
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert payload == want
+        assert payload["changed"] and payload["displacement"] > 0
+        for r in refs:
+            assert (
+                f"  {r}: cosine before={want['cosines_before'][r]!r} "
+                f"after={want['cosines_after'][r]!r}"
+            ) in out
+
+    def test_one_ref_rejected(self, write_jsonl, capsys):
+        corpus = self._corpus(write_jsonl)
+        for provider in (["--dim", "8"], ["--provider", "vectors",
+                                          "--vectors", self._vectors(write_jsonl)]):
+            rc, out, err = run(
+                capsys, "rank-compare", "--input", corpus, "--focal", "f",
+                "--refs", "a", *provider,
+            )
+            assert rc == 1
+            assert "at least 2" in err
+            assert out == ""
+
+    def test_missing_cleaned_vector_names_the_id(self, write_jsonl, capsys):
+        corpus = self._corpus(write_jsonl)
+        vectors = write_jsonl(
+            [
+                {"id": "f", "values": [1.0, 0.0]},
+                {"id": "f::cleaned", "values": [0.0, 1.0]},
+                {"id": "a", "values": [0.9, 0.1]},
+                {"id": "a::cleaned", "values": [0.1, 0.9]},
+                {"id": "b", "values": [0.99, 0.0]},
+            ],
+            name="vectors.jsonl",
+        )
+        rc, out, err = run(
+            capsys, "rank-compare", "--input", corpus, "--focal", "f",
+            "--refs", "a,b", "--provider", "vectors", "--vectors", vectors,
+        )
+        assert rc == 1
+        assert "error: no ingested vector for id 'b::cleaned'" in err
+        assert out == ""
+
+    def test_vector_dimension_mismatch_names_the_line(self, write_jsonl, capsys):
+        corpus = self._corpus(write_jsonl)
+        vectors = write_jsonl(
+            [{"id": "f", "values": [1.0, 0.0]}, {"id": "a", "values": [1.0, 0.0, 0.0]}],
+            name="v.jsonl",
+        )
+        rc, out, err = run(
+            capsys, "rank-compare", "--input", corpus, "--focal", "f",
+            "--refs", "a,b", "--provider", "vectors", "--vectors", vectors,
+        )
+        assert rc == 1
+        assert "v.jsonl:2: dimension 3, but line 1 has 2" in err
+        assert out == ""
 
     def test_vectors_provider_rejects_unknown_category(self, write_jsonl, capsys):
         corpus = self._corpus(write_jsonl)

@@ -353,8 +353,9 @@ class TestComputeStats:
 
 
 # The per-line json.loads loader that the one-scanner-call reader replaced,
-# verbatim but for its names and the meta object it returns (the checked
-# dict itself, as load_corpus keeps it), as the oracle for load_corpus and
+# verbatim but for its names, the meta object it returns (the checked dict
+# itself, as load_corpus keeps it) and the line-numbered dimension check of
+# the vector loader, as the oracle for load_corpus and
 # ExternalVectorProvider.load: equal records or vectors, or equal error text.
 def oracle_iter_jsonl(path, error):
     with open(path, encoding="utf-8") as fh:
@@ -465,6 +466,7 @@ def oracle_finite_floats(values):
 
 def oracle_load_vectors(path):
     vectors = {}
+    first = None
     for where, obj in oracle_iter_jsonl(path, EmbeddingError):
         if not isinstance(obj, dict):
             raise EmbeddingError(f"{where}: record must be a JSON object")
@@ -478,6 +480,13 @@ def oracle_load_vectors(path):
             )
         if vec_id in vectors:
             raise EmbeddingError(f"{where}: duplicate id {vec_id!r}")
+        # Every vector has the dimension of the first.
+        if first is None:
+            first = (where.rsplit(":", 1)[1], len(values))
+        elif len(values) != first[1]:
+            raise EmbeddingError(
+                f"{where}: dimension {len(values)}, but line {first[0]} has {first[1]}"
+            )
         vectors[vec_id] = EmbeddingVector.from_values(values)
     return vectors
 
@@ -534,6 +543,7 @@ def _vector_line(rng):
         "x",
         [True, 1.0],
         [int("9" * 401), 1.0],
+        [1.0, 2.0, 3.0],
     ])
     return json.dumps({"id": rng.choice(["a", "b", "a::cleaned", "c"]), "values": values})
 
@@ -606,6 +616,12 @@ def test_year_of_another_type_after_a_valid_record(tmp_path):
             load_corpus(str(path), schema="predictions")
 
 
+def lookup_all(path):
+    """Every vector ExternalVectorProvider.load(path) holds, looked up."""
+    provider = ExternalVectorProvider.load(path)
+    return {vec_id: provider.vector(vec_id) for vec_id in provider._vectors}
+
+
 def test_vector_loader_matches_per_line_json_loads(tmp_path):
     rng = random.Random(20261020)
     kinds = Counter()
@@ -613,9 +629,11 @@ def test_vector_loader_matches_per_line_json_loads(tmp_path):
         path = str(tmp_path / f"{i}.jsonl")
         _write_lines(path, rng, _lines(rng, _vector_line))
         want = outcome(oracle_load_vectors, path)
-        got = outcome(lambda p: ExternalVectorProvider.load(p)._vectors, path)
+        got = outcome(lookup_all, path)
         assert got == want, path
-        kinds[verdict(want)] += 1
+        kind = verdict(want)
+        kinds[kind.split(",")[0] if kind.startswith("dimension") else kind] += 1
     for kind in ("ok", "malformed line", "lone surrogate", "duplicate id",
-                 "values must be a non-empty list of finite numbers"):
+                 "values must be a non-empty list of finite numbers", "dimension 3",
+                 "dimension 2"):
         assert kinds[kind] >= 10, kinds

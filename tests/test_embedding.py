@@ -1,12 +1,14 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from declutter.corpus import LabeledAbstract
 from declutter.embedding import (
+    CLEANED_ID_SUFFIX,
     BuiltinProvider,
     EmbeddingVector,
     ExternalVectorProvider,
@@ -15,7 +17,7 @@ from declutter.embedding import (
     rank_references,
 )
 from declutter.errors import EmbeddingError
-from declutter.textspan import Span, tokenize
+from declutter.textspan import Span, clean_text, tokenize
 
 
 def vec(*values):
@@ -265,24 +267,47 @@ class TestExternalVectors:
             name="vecs.jsonl",
         )
         provider = ExternalVectorProvider.load(path)
-        got = provider.vector("ignored", "a")
+        got = provider.vector("a")
         assert (got.dimension, got.entries) == (2, {0: 1.0, 1: 0.0})
-        assert provider.vector("ignored", "a::cleaned").dimension == 2
+        assert provider.vector("a::cleaned").dimension == 2
 
     def test_missing_id(self, write_jsonl):
         provider = ExternalVectorProvider.load(
             write_jsonl([{"id": "a", "values": [1.0]}], name="v.jsonl")
         )
         with pytest.raises(EmbeddingError, match="no ingested vector"):
-            provider.vector("x", "zzz")
+            provider.vector("zzz")
 
     def test_dimension_mismatch_rejected(self, write_jsonl):
         path = write_jsonl(
             [{"id": "a", "values": [1.0]}, {"id": "b", "values": [1.0, 2.0]}],
             name="v.jsonl",
         )
-        with pytest.raises(EmbeddingError, match="dimension"):
+        with pytest.raises(
+            EmbeddingError, match=r"v\.jsonl:2: dimension 2, but line 1 has 1$"
+        ):
             ExternalVectorProvider.load(path)
+
+    def test_dense_vectors_stored_as_float_tuples(self, write_jsonl):
+        """A dense vector is held as a tuple of floats, not as the dict of an
+        EmbeddingVector, which took about 2.8 times the memory; it becomes
+        one on lookup."""
+        rng = random.Random(768)
+        rows = [[rng.uniform(-1.0, 1.0) for _ in range(768)] for _ in range(200)]
+        path = write_jsonl(
+            [{"id": f"v{i}", "values": row} for i, row in enumerate(rows)],
+            name="dense.jsonl",
+        )
+        tracemalloc.start()
+        try:
+            provider = ExternalVectorProvider.load(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 200 tuples of 768 floats take 4.7 MiB; as dicts they took 13.3 MiB.
+        assert held < 6 * 2**20, held
+        for i in (0, 199):
+            assert provider.vector(f"v{i}") == EmbeddingVector.from_values(rows[i])
 
     def test_malformed_values_rejected(self, write_jsonl):
         # A bool is not a number here; the last is an integer too large for
@@ -308,9 +333,21 @@ class TestRankReferences:
         ]
         return focal, refs
 
+    @staticmethod
+    def _rank(focal, refs, spans_for, provider):
+        """rank_references over the vectors of each record's text, before and
+        after cleaning it with its spans in ``spans_for`` (none if absent)."""
+        records = [focal, *refs]
+        before = {r.id: provider.vector(r.text) for r in records}
+        after = {
+            r.id: provider.vector(clean_text(r.text, spans_for.get(r.id, [])))
+            for r in records
+        }
+        return rank_references(focal.id, [r.id for r in refs], before, after)
+
     def test_no_spans_means_no_change(self):
         focal, refs = self._fixture()
-        delta = rank_references(focal, refs, {}, BuiltinProvider(dimension=64))
+        delta = self._rank(focal, refs, {}, BuiltinProvider(dimension=64))
         assert not delta.changed
         assert not delta.top1_changed
         assert delta.displacement == 0
@@ -319,7 +356,7 @@ class TestRankReferences:
     def test_orders_are_permutations(self):
         focal, refs = self._fixture()
         spans_for = {"a": [Span(0, 5)], "f": [Span(0, 5)]}
-        delta = rank_references(focal, refs, spans_for, BuiltinProvider(dimension=64))
+        delta = self._rank(focal, refs, spans_for, BuiltinProvider(dimension=64))
         assert sorted(delta.order_before) == sorted(delta.order_after) == ["a", "b", "c"]
 
     def test_ties_break_by_ascending_id(self):
@@ -328,18 +365,18 @@ class TestRankReferences:
             LabeledAbstract("r2", "alpha beta"),
             LabeledAbstract("r1", "alpha beta"),
         ]
-        delta = rank_references(focal, refs, {}, BuiltinProvider(dimension=64))
+        delta = self._rank(focal, refs, {}, BuiltinProvider(dimension=64))
         assert delta.order_before == ("r1", "r2")
 
     def test_needs_two_references(self):
         focal, refs = self._fixture()
         with pytest.raises(EmbeddingError, match="at least 2"):
-            rank_references(focal, refs[:1], {}, BuiltinProvider(dimension=8))
+            self._rank(focal, refs[:1], {}, BuiltinProvider(dimension=8))
 
     def test_focal_among_refs_rejected(self):
         focal, refs = self._fixture()
         with pytest.raises(EmbeddingError, match="unique"):
-            rank_references(focal, [focal, *refs], {}, BuiltinProvider(dimension=8))
+            self._rank(focal, [focal, *refs], {}, BuiltinProvider(dimension=8))
 
     def test_external_provider_uses_cleaned_suffix(self, write_jsonl):
         path = write_jsonl(
@@ -354,16 +391,29 @@ class TestRankReferences:
             name="v.jsonl",
         )
         provider = ExternalVectorProvider.load(path)
-        focal = LabeledAbstract("f", "whatever")
-        refs = [LabeledAbstract("a", "x"), LabeledAbstract("b", "y")]
-        delta = rank_references(focal, refs, {}, provider)
+        ids = ["f", "a", "b"]
+        before = {i: provider.vector(i) for i in ids}
+        after = {i: provider.vector(i + CLEANED_ID_SUFFIX) for i in ids}
+        delta = rank_references("f", ["a", "b"], before, after)
         assert delta.order_before == ("a", "b")
         assert delta.order_after == ("a", "b")
         assert not delta.changed
 
+    def test_ranks_the_vectors_it_is_given(self):
+        """Ranking is a function of the two vector maps alone."""
+        before = {"f": vec(1, 0), "a": vec(1, 0), "b": vec(0, 1), "c": vec(1, 1)}
+        after = {"f": vec(0, 1), "a": vec(1, 0), "b": vec(0, 1), "c": vec(1, 1)}
+        delta = rank_references("f", ["b", "a", "c"], before, after)
+        assert delta.order_before == ("a", "c", "b")
+        assert delta.order_after == ("b", "c", "a")
+        assert delta.cosines_before == {"b": 0.0, "a": 1.0, "c": cosine(vec(1, 0), vec(1, 1))}
+        assert list(delta.cosines_after) == ["b", "a", "c"]
+        assert delta.changed and delta.top1_changed
+        assert delta.displacement == 4
+
     def test_deterministic_across_runs(self):
         focal, refs = self._fixture()
         provider = BuiltinProvider(dimension=32)
-        d1 = rank_references(focal, refs, {}, provider)
-        d2 = rank_references(focal, refs, {}, provider)
+        d1 = self._rank(focal, refs, {}, provider)
+        d2 = self._rank(focal, refs, {}, provider)
         assert d1 == d2
