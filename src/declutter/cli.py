@@ -14,7 +14,8 @@ import json
 import sys
 from collections import Counter
 
-from .corpus import LabeledAbstract, CorpusStats, compute_stats, load_corpus, save_corpus
+from .corpus import CorpusStats, LabeledAbstract, compute_stats, iter_records
+from .corpus import load_corpus, save_corpus
 from .detectors import CATEGORY_REGISTRY, DetectorConfig, detect, to_rem_spans
 from .embedding import (
     CLEANED_ID_SUFFIX,
@@ -105,9 +106,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.buckets < 1:
         raise DeclutterError("--buckets must be >= 1")
     gold = load_corpus(args.gold, schema="gold")
-    predictions = {
-        r.id: list(r.spans) for r in load_corpus(args.pred, schema="predictions")
-    }
+    predictions = {i: list(s) for i, _, s, _ in iter_records(args.pred, "predictions")}
     gold_ids = {r.id for r in gold}
     unknown = sorted(set(predictions) - gold_ids)
     if unknown:
@@ -191,8 +190,8 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
         raise DeclutterError("--dim must be >= 1")
     config = _detector_config(args)
 
-    records = load_corpus(args.input, schema="predictions")
-    texts = {r.id: r.text for r in records}
+    # Every record is checked as load_corpus checks it; only texts are kept.
+    texts = {i: t for i, t, _, _ in iter_records(args.input, "predictions")}
     ref_ids = [rid for rid in args.refs.split(",") if rid]
     ids = [args.focal, *ref_ids]
     missing = [rid for rid in ids if rid not in texts]

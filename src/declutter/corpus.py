@@ -15,6 +15,10 @@ into ``text``. Two schemas are supported:
 * ``predictions``: lenient ingestion for cleaner/model output. Overlapping
   spans are resolved with :func:`declutter.textspan.filter_spans` and bounds
   are not checked here (they are checked when joined with their text).
+
+:func:`iter_records` is the one reader that checks records: it yields each
+record's checked fields as a plain tuple, so a caller that keeps one field
+builds no record. :func:`load_corpus` is the list of records it yields.
 """
 
 from __future__ import annotations
@@ -91,34 +95,6 @@ def _parse_meta(raw: object) -> dict:
     return raw
 
 
-def _record_from_obj(obj: object, schema: str) -> LabeledAbstract:
-    """The record ``obj`` holds; a :class:`CorpusError` it raises does not
-    name the line, which the caller adds."""
-    if not isinstance(obj, dict):
-        raise CorpusError("record must be a JSON object")
-    rec_id = obj.get("id")
-    text = obj.get("text")
-    if not isinstance(rec_id, str) or not rec_id:
-        raise CorpusError("id must be a non-empty string")
-    if not isinstance(text, str):
-        raise CorpusError("text must be a string")
-    raw_spans = obj.get("spans")
-    if not isinstance(raw_spans, list):
-        raise CorpusError("spans must be a list")
-    spans = list(map(_parse_span, raw_spans))
-    meta = _parse_meta(obj.get("meta"))
-
-    if schema == "predictions":
-        if spans:
-            spans = filter_spans(spans)
-    else:
-        try:
-            ensure_finalized(spans, len(text))
-        except ValueError as exc:
-            raise CorpusError(f"record {rec_id!r}: {exc}") from exc
-    return LabeledAbstract(rec_id, text, tuple(spans), meta)
-
-
 def iter_jsonl(
     path: str, error: type[DeclutterError]
 ) -> Iterator[tuple[int, object]]:
@@ -178,27 +154,52 @@ def utf8_error(where: str, file, error: type[DeclutterError]) -> DeclutterError:
     return error(f"{where}: not UTF-8")
 
 
-def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:
-    """Load a JSONL corpus, enforcing the invariants of the given schema.
+def iter_records(
+    path: str, schema: str = "gold"
+) -> Iterator[tuple[str, str, tuple[Span, ...], dict]]:
+    """Yield ``(id, text, spans, meta)`` for each record of a JSONL corpus,
+    in file order, checked against the invariants of ``schema``.
 
-    Any malformed line or invariant violation (out-of-bounds span, overlapping
-    gold spans, duplicate id) raises :class:`CorpusError` naming the offending
-    line; no partial corpus is ever returned.
-    """
+    A malformed line or an invariant violation (out-of-bounds span,
+    overlapping gold spans, duplicate id) raises :class:`CorpusError` naming
+    the line, when the iteration reaches it."""
     if schema not in _SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; expected one of {_SCHEMAS}")
-    records: list[LabeledAbstract] = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path, CorpusError):
         try:
-            record = _record_from_obj(obj, schema)
-            if record.id in seen:
-                raise CorpusError(f"duplicate id {record.id!r}")
+            if not isinstance(obj, dict):
+                raise CorpusError("record must be a JSON object")
+            rec_id = obj.get("id")
+            text = obj.get("text")
+            if not isinstance(rec_id, str) or not rec_id:
+                raise CorpusError("id must be a non-empty string")
+            if not isinstance(text, str):
+                raise CorpusError("text must be a string")
+            raw_spans = obj.get("spans")
+            if not isinstance(raw_spans, list):
+                raise CorpusError("spans must be a list")
+            spans = list(map(_parse_span, raw_spans))
+            meta = _parse_meta(obj.get("meta"))
+            if schema == "gold":
+                try:
+                    ensure_finalized(spans, len(text))
+                except ValueError as exc:
+                    raise CorpusError(f"record {rec_id!r}: {exc}") from exc
+            elif spans:
+                spans = filter_spans(spans)
+            if rec_id in seen:
+                raise CorpusError(f"duplicate id {rec_id!r}")
         except CorpusError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        seen.add(record.id)
-        records.append(record)
-    return records
+        seen.add(rec_id)
+        yield rec_id, text, tuple(spans), meta
+
+
+def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:
+    """The records :func:`iter_records` yields, as a list; no partial corpus
+    is ever returned."""
+    return [LabeledAbstract(*fields) for fields in iter_records(path, schema)]
 
 
 def _record_to_obj(record: LabeledAbstract) -> dict:

@@ -10,6 +10,7 @@ import declutter.evaluation
 from declutter.cli import main
 from declutter.corpus import load_corpus
 from declutter.embedding import RankingDelta
+from declutter.errors import CorpusError
 from declutter.evaluation import EvalReport
 from declutter.textspan import tokenize
 
@@ -273,6 +274,50 @@ class TestDecoderLimits:
             assert (rc, stdout) == (1, "")
             assert err.startswith(f"error: {vectors}:2: malformed line: "), err[:200]
             assert err.count("\n") == 1
+
+
+class TestCheckedReads:
+    """``rank-compare`` and ``eval --pred`` keep one field of each record, yet
+    check every record as ``load_corpus`` does: a bad 4th line that no id
+    of the command names fails it with ``load_corpus``'s own text."""
+
+    LINES = [
+        '{"id": "f", "text": "Focal text about lattices.", "spans": []}',
+        '{"id": "a", "text": "Some text about lattices.", "spans": []}',
+        '{"id": "b", "text": "Other text on soil.", "spans": []}',
+    ]
+    BAD = {
+        "malformed": '{"id": "z", "text": "x", "spans": [',
+        "duplicate": '{"id": "a", "text": "Again.", "spans": []}',
+        "year": '{"id": "z", "text": "x", "spans": [], "meta": {"year": "2020"}}',
+    }
+
+    def test_bad_line_outside_the_ids_used(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("\n".join(self.LINES) + "\n", encoding="utf-8")
+        vectors = tmp_path / "v.jsonl"
+        vectors.write_text(
+            "".join(
+                f'{{"id": "{i}{suffix}", "values": [1.0, {k}]}}\n'
+                for k, i in enumerate("fab")
+                for suffix in ("", "::cleaned")
+            ),
+            encoding="utf-8",
+        )
+        for kind, bad in self.BAD.items():
+            corpus = tmp_path / f"{kind}.jsonl"
+            tail = '{"id": "c", "text": "Last.", "spans": []}'
+            corpus.write_text("\n".join([*self.LINES, bad, tail]) + "\n", encoding="utf-8")
+            with pytest.raises(CorpusError) as caught:
+                load_corpus(str(corpus), schema="predictions")
+            assert str(caught.value).startswith(f"{corpus}:4: "), kind
+            rank = ("rank-compare", "--input", str(corpus), "--focal", "f", "--refs", "a,b")
+            for argv in (
+                rank,
+                (*rank, "--provider", "vectors", "--vectors", str(vectors)),
+                ("eval", "--gold", str(gold), "--pred", str(corpus)),
+            ):
+                assert run(capsys, *argv) == (1, "", f"error: {caught.value}\n"), argv
 
 
 class TestEval:

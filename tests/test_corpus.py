@@ -9,6 +9,7 @@ import pytest
 from declutter.corpus import (
     LabeledAbstract,
     compute_stats,
+    iter_records,
     load_corpus,
     save_corpus,
     utf8_error,
@@ -586,7 +587,20 @@ def _write_lines(path, rng, lines):
             fh.write(b'{"id": "z", "text": "\xe9", "spans": []}\n')
 
 
+def oracle_fields(path, schema):
+    """The oracle's records as ``(id, text, spans, meta)`` tuples."""
+    return [(r.id, r.text, r.spans, r.meta) for r in oracle_load_corpus(path, schema)]
+
+
+def all_fields(path, schema):
+    fields = list(iter_records(path, schema))
+    assert all(type(f) is tuple for f in fields)
+    return fields
+
+
 def test_loader_matches_per_line_json_loads(tmp_path):
+    """load_corpus, and iter_records read to the end, against the oracle:
+    the same records, or the same error."""
     rng = random.Random(20261019)
     kinds = Counter()
     for i in range(600):
@@ -595,6 +609,8 @@ def test_loader_matches_per_line_json_loads(tmp_path):
         for schema in ("gold", "predictions"):
             want = outcome(oracle_load_corpus, path, schema)
             assert outcome(load_corpus, path, schema) == want, (path, schema)
+            want_fields = outcome(oracle_fields, path, schema)
+            assert outcome(all_fields, path, schema) == want_fields, (path, schema)
             kinds[verdict(want)] += 1
     # Every kind of verdict is reached, not only the first error of a file.
     for kind in ("ok", "malformed line", "lone surrogate", "duplicate id",
