@@ -12,14 +12,21 @@ anchors ``^``, ``$`` and ``\\b``. Lookaround, backreferences, named groups,
 inline flags, possessive quantifiers and atomic groups are rejected so packs
 stay portable across regex engines.
 
-Each rule also gets a two-stage prescreen, derived from the same parse. Its
-trigger is one set of literal strings of which every match contains one
-verbatim; its factor, when it has one, is the part of the pattern from its
-first top-level literal, or branch with a literal in every alternative, on:
-a regex every match contains, at most the factor's reach after the match
-starts. ``detect`` runs a rule's regex only on texts that hold a member of
-the trigger, and a factored rule only from the reach before each match of
-its factor, resuming at the end of the match it finds there.
+Each rule also gets a prescreen and a search path, derived from the same
+parse. Its trigger is one set of literal strings of which every match
+contains one verbatim. Its factor, when it has one, is the part of the
+pattern from its first top-level literal, or branch with a literal in every
+alternative, on: a regex every match contains, at most the factor's reach
+after the match starts. ``detect`` runs a rule's regex only on texts that
+hold a member of the trigger, and a factored rule only from the reach
+before each match of its factor, resuming at the end of the match it finds
+there. sre can search for a factor that starts with a branch only by its
+set of first characters, so a rule with such a factor is searched from its
+trigger instead, where every member lies at most a bounded reach after the
+match start: the prescreen keeps the first occurrence of each member,
+``str.find`` finds the later ones, and the regex is tried only at the
+starts that can reach one. Each rule has exactly one of these searches,
+chosen when its pack is loaded.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries,
@@ -33,6 +40,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heapreplace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -115,7 +123,18 @@ def _not_allowed(where: str, what: str) -> DetectorError:
     )
 
 
-def _literal_sets(seq, where: str, lead: str = "") -> list[tuple[str, ...]]:
+# The width sre's getwidth() gives an unbounded pattern is at least this.
+_UNBOUNDED = _sre_parse.MAXREPEAT
+
+
+def _width(state, nodes) -> int:
+    """The most characters a match of the node sequence ``nodes`` can span,
+    as sre's ``getwidth()`` gives it: at least ``_UNBOUNDED`` when it is
+    unbounded."""
+    return _sre_parse.SubPattern(state, nodes).getwidth()[1]
+
+
+def _literal_sets(seq, where: str, lead: str = "", at: int = 0) -> list[dict[str, int]]:
     """Check a parsed pattern sequence against the engine-neutral subset and
     return its mandatory literal sets, in pattern order.
 
@@ -128,78 +147,91 @@ def _literal_sets(seq, where: str, lead: str = "") -> list[tuple[str, ...]]:
     run. Every match of ``seq``, preceded by ``lead``, contains a member of
     every set. Optional parts (minimum-zero repeats) are checked but
     contribute nothing.
+
+    Each set maps its members to their offsets: the most characters that
+    can come before the member in a match, where ``seq`` starts at most
+    ``at`` characters into it. An offset of ``_UNBOUNDED`` or more is
+    unbounded.
     """
-    found: list[tuple[str, ...]] = []
-    run = lead
-    for op, av in seq:
+    found: list[dict[str, int]] = []
+    run, run_at = lead, at - len(lead)
+    for op, av in seq.data:
         kind = op.name
         if kind not in _ALLOWED_NODES:
             name = _NODE_NAMES.get(kind, kind.lower().replace("_", " "))
             raise _not_allowed(where, name)
         if kind == "LITERAL":
+            if not run:
+                run_at = at
             run += chr(av)
+            at += 1
             continue
         if kind == "BRANCH":
-            members = set()
+            members: dict[str, int] = {}
             for alt in av[1]:
-                runs = [s[0] for s in _literal_sets(alt, where, run) if len(s) == 1]
-                members.add(max(runs, key=len, default=""))
-            found.append(tuple(sorted(members)))
+                runs = [
+                    next(iter(s.items())) for s in _literal_sets(alt, where, run, at)
+                    if len(s) == 1
+                ]
+                member, offset = max(runs, key=lambda r: len(r[0]), default=("", 0))
+                members[member] = max(offset, members.get(member, offset))
+            found.append(dict(sorted(members.items())))
             run = ""
-            continue
-        if run:
-            found.append((run,))
-            run = ""
-        if kind == "SUBPATTERN":
-            if av[1] or av[2]:
-                raise _not_allowed(where, "inline flags")
-            found += _literal_sets(av[3], where)
-        elif kind in ("MAX_REPEAT", "MIN_REPEAT"):
-            inner = _literal_sets(av[2], where)
-            if av[0] >= 1:
-                found += inner
+        else:
+            if run:
+                found.append({run: run_at})
+                run = ""
+            if kind == "SUBPATTERN":
+                if av[1] or av[2]:
+                    raise _not_allowed(where, "inline flags")
+                found += _literal_sets(av[3], where, "", at)
+            elif kind in ("MAX_REPEAT", "MIN_REPEAT"):
+                inner = _literal_sets(av[2], where, "", at)
+                if av[0] >= 1:
+                    found += inner
+        at += _width(seq.state, [(op, av)])
     if run:
-        found.append((run,))
+        found.append({run: run_at})
     return found
 
 
-def _trigger(sets: list[tuple[str, ...]]) -> tuple[str, ...]:
+def _trigger(sets: list[dict[str, int]]) -> dict[str, int]:
     """Turn a rule's mandatory literal sets into its prescreen trigger: one
-    set of literals, every match holding a member.
+    set of literals, every match holding a member, each mapped to its
+    reach, the most characters that can come before it in a match.
 
     A member that contains another member of its set goes, since the shorter
-    one is in every text the longer one is in. Of the sets without an empty
-    member, the trigger is the one with the fewest members per character of
-    its shortest member, the first such in pattern order: few and long
-    literals are quick to test and rarely present by chance, so
+    one is in every text the longer one is in; the reach of the one kept is
+    the greatest of its own offset and those of the members that went,
+    each plus where the kept one first occurs in it. Of the sets without an
+    empty member, the trigger is the one with the fewest members per
+    character of its shortest member, the first such in pattern order: few
+    and long literals are quick to test and rarely present by chance, so
     ``heading_embedded`` tests ``:`` and ``-``, not its 20 heading words,
     and ``translated_from`` tests ``Translated from``, not a space. A rule
-    with no such set gets the empty trigger ``()``, which every text meets.
+    with no such set gets the empty trigger, which every text meets.
     """
-    candidates = [
-        tuple(m for m in s if not any(o != m and o in m for o in s))
-        for s in sets
-        if all(s)
-    ]
-    return min(candidates, key=lambda c: len(c) / min(map(len, c)), default=())
+    candidates = []
+    for s in sets:
+        if all(s):
+            kept = [m for m in s if not any(o != m and o in m for o in s)]
+            candidates.append(
+                {k: max(at + m.find(k) for m, at in s.items() if k in m) for k in kept}
+            )
+    return min(candidates, key=lambda c: len(c) / min(map(len, c)), default={})
 
 
-def _width(state, nodes) -> int:
-    """The most characters a match of the node sequence ``nodes`` can span,
-    as sre's ``getwidth()`` gives it: huge when it is unbounded."""
-    return _sre_parse.SubPattern(state, nodes).getwidth()[1]
-
-
-def _factor(tree) -> tuple[re.Pattern, int] | None:
-    """The rule's necessary factor and its reach, cut from the parsed
-    ``tree``.
+def _factor(tree, reach: int) -> tuple[re.Pattern | None, int] | None:
+    """How the rule's search skips ahead, cut from the parsed ``tree``: its
+    necessary factor and the factor's reach; ``(None, reach)`` to search
+    from the trigger, whose reach is ``reach``; or ``None``.
 
     The factor starts at the first top-level node that is a ``LITERAL``, or
     a ``BRANCH`` each of whose alternatives holds a top-level literal, and
     runs to the end of the pattern. Each alternative of such a branch is
-    trimmed to start at its first literal. The reach is the widest the part
-    cut off can be: the nodes before the factor plus the widest trimmed
-    prefix.
+    trimmed to start at its first literal. The factor's reach is the widest
+    the part cut off can be: the nodes before the factor plus the widest
+    trimmed prefix.
 
     Every match of the pattern ``A·(P·L|...)·R`` holds a match of
     ``(L|...)·R`` where ``P`` ends, at most ``reach`` characters after the
@@ -210,6 +242,14 @@ def _factor(tree) -> tuple[re.Pattern, int] | None:
     the first characters of a leading branch whose alternatives all start
     with one; a rule led by ``\\b``, a class, an optional group or a branch
     with a class-led alternative gives it no literal to skip by.
+
+    sre searches for a factor led by a branch only by its set of first
+    characters, trying each place that holds one. Such a rule is searched
+    from its trigger instead, ``(None, reach)``, when the trigger's reach is
+    bounded; ``heading_embedded`` and ``doi_ref`` keep their factors, as
+    their triggers follow a ``[ \\t]*``. A factor led by a literal stays:
+    sre skips ahead by that literal, and past a factor match where the rule
+    fails its search goes on without a call per start.
 
     ``None`` where sre already skips on its own: a pattern led by a literal,
     by a branch whose alternatives all start with one, or by ``^`` or
@@ -235,6 +275,8 @@ def _factor(tree) -> tuple[re.Pattern, int] | None:
                 continue
             if i == 0 and not any(firsts):
                 return None
+            if reach < _UNBOUNDED:
+                return None, reach
             head = (op, (None, [
                 _sre_parse.SubPattern(state, alt.data[j:]) for alt, j in zip(alts, firsts)
             ]))
@@ -264,6 +306,49 @@ def _factored_matches(regex: re.Pattern, factor: re.Pattern, reach: int, text: s
         pos = m.end()
 
 
+def _occurrences(trigger: tuple[str, ...], text: str) -> list[tuple[int, str]]:
+    """``(offset, member)`` for the first occurrence of each member of
+    ``trigger`` that ``text`` holds: empty where it holds none, so this is
+    also the prescreen of a rule searched from its trigger."""
+    found = []
+    for member in trigger:
+        if member in text:
+            found.append((text.find(member), member))
+    return found
+
+
+def _anchored_matches(regex: re.Pattern, ahead: list[tuple[int, str]], reach: int, text: str):
+    """The matches ``regex.finditer(text)`` yields, found from the
+    occurrences of the trigger's members: ``ahead`` holds the first of
+    each, as ``_occurrences`` gives them, and ``str.find`` the next.
+
+    Every match holds a member at most ``reach`` characters after its
+    start, so only the starts from ``reach`` before an occurrence to the
+    occurrence itself can reach it. At each occurrence, in text order, the
+    regex is tried at those starts not tried yet, in order; the search
+    resumes at the end of each match, as ``finditer``'s does. The trigger
+    has no empty member, so no match is empty.
+    """
+    find, match = text.find, regex.match
+    heapify(ahead)  # the next occurrence of each member not yet passed
+    pos = 0  # every start before pos is tried
+    while ahead:
+        at = ahead[0][0]
+        for start in range(max(pos, at - reach), at + 1):
+            if m := match(text, start):
+                yield m
+                pos = m.end()
+                break
+        else:
+            pos = at + 1
+        while ahead and ahead[0][0] < pos:
+            member = ahead[0][1]
+            if (next_at := find(member, pos)) >= 0:
+                heapreplace(ahead, (next_at, member))
+            else:
+                heappop(ahead)
+
+
 def _compile_rule(pattern: str, where: str) -> tuple:
     """Parse ``pattern`` once, check it, and compile it along with its
     prescreen trigger and factor, derived from the same parse tree.
@@ -272,7 +357,7 @@ def _compile_rule(pattern: str, where: str) -> tuple:
     ``LITERAL`` node matches exactly its own code point: the trigger has a
     member in every text the regex matches in, and skipping the regex when
     it has none can never drop a detection. The trigger is ``()`` when the
-    pattern has no mandatory literal.
+    pattern has no mandatory literal; its reach is then unbounded.
     """
     # Besides re.error: a{99999999999} overflows, and thousands of nested
     # groups exhaust the parser's stack.
@@ -285,7 +370,8 @@ def _compile_rule(pattern: str, where: str) -> tuple:
     if tree.state.flags != re.UNICODE:
         raise _not_allowed(where, "inline flags")
     trigger = _trigger(_literal_sets(tree, where))
-    return _sre_compile.compile(tree), trigger, _factor(tree)
+    reach = max(trigger.values(), default=_UNBOUNDED)
+    return _sre_compile.compile(tree), tuple(trigger), _factor(tree, reach)
 
 
 def _parse_pack(lines: Iterable[str], where: str, first_at: dict[str, str]) -> list[tuple]:
@@ -340,8 +426,11 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
 def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
     """``(category, rule_id, regex, trigger, factor)`` of every loaded rule
     of an enabled category, in registry order, pack order within a category.
-    ``trigger`` is a tuple of literal strings, ``factor`` a pair of a
-    compiled regex and its reach, or ``None``.
+    ``trigger`` is a tuple of literal strings. ``factor`` picks the rule's
+    one search path in ``detect``: ``None`` for ``finditer``; a pair of a
+    compiled factor and its reach for ``_factored_matches``; or
+    ``(None, reach)``, the reach of the trigger, for ``_anchored_matches``,
+    whose prescreen is ``_occurrences``, not ``_passes``.
 
     Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
@@ -437,12 +526,18 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     seen: set[tuple] = set()
     bounds = None
     for category, rule_id, regex, trigger, factor in _compiled_rules(config):
-        if not _passes(trigger, text):
-            continue
         if factor is None:
+            if not _passes(trigger, text):
+                continue
             matches = regex.finditer(text)
-        else:
+        elif factor[0] is not None:
+            if not _passes(trigger, text):
+                continue
             matches = _factored_matches(regex, *factor, text)
+        else:
+            if not (ahead := _occurrences(trigger, text)):
+                continue
+            matches = _anchored_matches(regex, ahead, factor[1], text)
         for m in matches:
             s, e = m.span()
             if s == e:

@@ -92,20 +92,44 @@ BUILTIN_TRIGGERS = {
 # an unbounded pattern here or above, depending on the Python version.
 UNBOUNDED = detectors._sre_parse.MAXREPEAT
 
-# The built-in rules that get a necessary factor, and the factor's reach:
-# those whose first top-level literal, or branch with a literal in every
-# alternative, comes after a class, an anchor or an optional part.
-BUILTIN_FACTORS = {
-    "copyright_word": 1, "all_rights_reserved": 1, "licensee": 1,
-    "payment_order": 1, "single_copies": 1, "ctgov_nct": UNBOUNDED,
-    "trial_reg_sentence": 1, "isrctn": 0, "prospero": UNBOUNDED, "eudract": 0,
-    "registered_at": 1, "translation_of": 1, "orig_published": 1,
-    "funding_lead": 1, "funded_by": 1, "grant_no": 1, "arxiv_id": 0, "doi_ref": 0,
-    "journal_vol_pages": UNBOUNDED, "vol_pages": 1,
-    # Led by a branch with a class-led alternative, or by \b and a branch.
-    "reprint_orders": 1, "support_from": 1, "keywords_list": 1,
-    "heading_embedded": 0, "heading_caps": 0,
+# The search of every built-in rule: ("anchored", reach) where the rule
+# searches from the occurrences of its trigger's members, each at most the
+# reach after the match start; ("factor", reach) where it skips ahead by a
+# factor cut from its pattern; None where it runs finditer behind its trigger.
+BUILTIN_SEARCHES = {
+    # sre tries heading_lead, led by ^, at the start of the text only; a
+    # factor would scan the whole text for nothing.
+    "copyright_sign": None, "copyright_c_paren": None, "heading_lead": None,
+    "jel_codes": None, "index_terms": None, "pacs_codes": None, "msc_codes": None,
+    "translated_from": None, "paren_figtab": None, "bracket_refs": None,
+    # The first top-level literal comes after a class, an anchor or an
+    # optional part.
+    "copyright_word": ("factor", 1), "all_rights_reserved": ("factor", 1),
+    "licensee": ("factor", 1), "payment_order": ("factor", 1),
+    "single_copies": ("factor", 1), "ctgov_nct": ("factor", UNBOUNDED),
+    "isrctn": ("factor", 0), "prospero": ("factor", UNBOUNDED),
+    "eudract": ("factor", 0), "registered_at": ("factor", 1),
+    "translation_of": ("factor", 1), "orig_published": ("factor", 1),
+    "funded_by": ("factor", 1), "grant_no": ("factor", 1), "arxiv_id": ("factor", 0),
+    "journal_vol_pages": ("factor", UNBOUNDED), "vol_pages": ("factor", 1),
+    # The factor would start with a branch, but a trigger member follows an
+    # unbounded [ \t]*.
+    "heading_embedded": ("factor", 0), "doi_ref": ("factor", 0),
+    # The factor would start with a branch, and every trigger member lies a
+    # bounded distance after the match start. reprint_orders' "eprint" sits
+    # at offset 10 of "To order reprints", a member that went from its set.
+    "reprint_orders": ("anchored", 10), "heading_caps": ("anchored", 4),
+    "keywords_list": ("anchored", 5), "trial_reg_sentence": ("anchored", 16),
+    "funding_lead": ("anchored", 1), "support_from": ("anchored", 1),
 }
+
+
+def search_of(factor):
+    """A rule's search as the tables here pin it."""
+    if factor is None:
+        return None
+    return ("anchored" if factor[0] is None else "factor", min(factor[1], UNBOUNDED))
+
 
 # Text pieces for the prescreen differential test: a match of every built-in
 # rule, near misses that share trigger literals, and case-folding traps.
@@ -200,6 +224,31 @@ CUSTOM_RULES = (
     # come back to back ("Mopal!Nopal!").
     ("internal_ref", "[A-Z](?:[Oo]pal|OPAL)!"),
 )
+# Custom rules for the differential test of the search paths. All but the
+# last two are searched from their trigger's members: \b-led with reach 0,
+# $-ended, members that overlap each other ("abab" and "baba"), a
+# one-character member, a kept member inside one that went ("ircon" at
+# offset 5 of "Big zircon") and a reach of 41. The last two skip ahead by a
+# factor, led by a branch and by a literal.
+SEARCH_RULES = (
+    ("citation", r"\b(?:Cobalt|Nickel)[ \t]*="),
+    ("citation", "(?:[Gg]lyph|[Rr]une)stone$"),
+    ("citation", "[A-Z](?:[Oo]pal|OPAL)!"),
+    ("citation", "(?:[Xx]abab|[Yy]baba)"),
+    ("citation", "[a-z](?:[Pp]#|#)"),
+    ("citation", "(?:[Zz]ircon|[Bb]ig zircon)!"),
+    ("citation", "[^.]{0,40}(?:[Qq]uartz|QUARTZ)"),
+    ("citation", "[0-9]*(?:[Kk]elp|KELP)#"),
+    ("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),
+)
+SEARCH_PIECES = (
+    "Cobalt", "Nickel", "xCobalt", "Nickel=", " =", "=", "\t=", "Glyph", "rune", "stone",
+    "Runestone", "Glyphstone", "opal!", "OPAL!", "Mopal!", "opal", "OPAL", "M", "Z", "x",
+    "abab", "baba", "ab", "Xabab", "ybaba", "X", "Y", "y", "#", "p#", "P#", "a#",
+    "ircon!", "zircon!", "Zircon", "big zircon!", "Big zircon", "!", "Quartz", "QUARTZ",
+    "quartz", ".", ". ", " ", "-", "a" * 17, "b" * 23, "kelp#", "KELP", "12", "AB CD12",
+    "CD34", "CD345", "CD",
+)
 CASINGS = (
     lambda s, rng: s,
     lambda s, rng: s,
@@ -277,7 +326,7 @@ WIDENING_SPACES = (
 def detect_counting_runs(monkeypatch, texts, configs):
     """``detect`` on every text under every config, and how many times each
     rule's regex ran, counted by rule id: once per ``detect`` call in which
-    it was searched, however many searches that call made."""
+    it was searched or matched, however many calls that made."""
     real = detectors._compiled_rules
     runs = Counter()
     ran = set()
@@ -293,6 +342,10 @@ def detect_counting_runs(monkeypatch, texts, configs):
         def search(self, text, pos):
             ran.add(self.rule_id)
             return self.regex.search(text, pos)
+
+        def match(self, text, pos):
+            ran.add(self.rule_id)
+            return self.regex.match(text, pos)
 
     def counted_detect(text, config):
         ran.clear()
@@ -631,7 +684,8 @@ class TestRulePacks:
 
     def test_triggers_never_skip_a_match(self, golden_path, monkeypatch, tmp_path):
         """Seeded differential test of the prescreen: on random texts, detect
-        with triggers and factors equals detect with both stages removed."""
+        with triggers, factors and anchored searches equals detect with all
+        three removed, where every rule runs finditer on every text."""
         rng = random.Random(20240611)
         rules_dir = write_rules(tmp_path, CUSTOM_RULES, builtins=True)
         configs = (DetectorConfig(), DetectorConfig(rules_dir=rules_dir))
@@ -674,32 +728,47 @@ class TestRulePacks:
         _compiled_rules.cache_clear()
         try:
             with monkeypatch.context() as patch:
-                patch.setattr(detectors, "_trigger", lambda sets: ())
-                patch.setattr(detectors, "_factor", lambda tree: None)
+                patch.setattr(detectors, "_trigger", lambda sets: {})
+                # Anchoring is chosen in _factor, so this stubs it off too.
+                patch.setattr(detectors, "_factor", lambda tree, reach: None)
                 oracle, oracle_runs = detect_counting_runs(monkeypatch, texts, configs)
         finally:
             _compiled_rules.cache_clear()
 
         for text, got, want in zip(texts, results, oracle):
             assert got == want, text
-        # Not vacuous: every rule was skipped on some text, every custom rule
-        # with a factor was skipped by it on a text its trigger passed, and
-        # every category detected something.
+        # Not vacuous: every rule was skipped on some text; every custom rule
+        # led by \b was skipped by its factor on a text its trigger passed,
+        # or is searched from its trigger's members, and every custom rule
+        # so searched met a member on a text it does not match; and every
+        # category detected something.
         for config in configs:
             for _category, rule_id, _regex, _trigger, _factor in _compiled_rules(config):
                 assert runs[rule_id] < oracle_runs[rule_id], rule_id
+        custom = [r for r in _compiled_rules(configs[1]) if r[1].startswith("custom_")]
         factor_skips = Counter(
             rule_id
-            for _category, rule_id, _regex, trigger, factor in _compiled_rules(configs[1])
-            if factor is not None
+            for _category, rule_id, _regex, trigger, factor in custom
+            if factor is not None and factor[0] is not None
             for text in texts
             if detectors._passes(trigger, text) and factor[0].search(text) is None
         )
+        anchor_misses = Counter(
+            rule_id
+            for _category, rule_id, regex, trigger, factor in custom
+            if factor is not None and factor[0] is None
+            for text in texts
+            if detectors._passes(trigger, text) and regex.search(text) is None
+        )
+        assert set(anchor_misses) == {
+            rule_id for _c, rule_id, _x, _t, f in custom if f is not None and f[0] is None
+        }, anchor_misses
         led_by_boundary = {
             f"custom_{i}" for i, (_c, pattern) in enumerate(CUSTOM_RULES) if "\\b" in pattern
         }
         assert len(led_by_boundary) == 3
-        assert set(factor_skips) >= led_by_boundary, factor_skips
+        assert set(factor_skips) >= led_by_boundary - set(anchor_misses), factor_skips
+        assert led_by_boundary & set(anchor_misses) == {"custom_20"}
         found = {d.span.label for per_config in results for d in per_config[0]}
         assert found == set(CATEGORY_REGISTRY)
         assert {d.rule_id for per_config in results for d in per_config[1]} >= {
@@ -719,19 +788,11 @@ class TestRulePacks:
         }
 
     def test_factor_table_is_pinned(self, tmp_path):
-        """The factor, too, is cut from the private sre parse tree. Pin which
-        built-in rules get one and how far it reaches, and check on custom
-        rules where the factor starts."""
+        """The search, too, is cut from the private sre parse tree. Pin how
+        each built-in rule searches and how far it reaches, and check on
+        custom rules where the factor starts."""
         rules = _compiled_rules(DetectorConfig())
-        reaches = {
-            r: min(factor[1], UNBOUNDED)
-            for _c, r, _regex, _t, factor in rules
-            if factor is not None
-        }
-        assert reaches == BUILTIN_FACTORS
-        # sre tries a rule led by ^ at the start of the text only; a factor
-        # would scan the whole text for nothing.
-        assert "heading_lead" not in reaches
+        assert {r: search_of(factor) for _c, r, _x, _t, factor in rules} == BUILTIN_SEARCHES
         rules = [
             ("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),
             ("citation", r"(?:[Qq]uill|QUILL)[ \t]*;"),
@@ -742,12 +803,20 @@ class TestRulePacks:
             ("citation", "(?:Glyph|Rune)stone"),
             ("citation", r"^[ \t]*(?:[Aa]b|AB):"),
             ("citation", "Opal(?:[Aa]b|AB)"),
+            # The run in front of a branch, which sre factors out of its
+            # alternatives, starts each member: "QXab" sits at offset 4,
+            # not 6.
+            ("citation", "(?:[Ss]ol|SOL)-?(?:QXab|QXcd)"),
+            # A member in a repeat sits where its first pass does.
+            ("citation", "[0-9](?:[Xx]yz|XYZ)(?:-ab){2,5}"),
         ]
         config = DetectorConfig(rules_dir=write_rules(tmp_path, rules))
         factors = {r: factor for _c, r, _regex, _t, factor in _compiled_rules(config)}
-        assert {r: f and min(f[1], UNBOUNDED) for r, f in factors.items()} == {
-            "custom_0": UNBOUNDED, "custom_1": 1, "custom_2": 0, "custom_3": UNBOUNDED,
-            "custom_4": 2, "custom_5": None, "custom_6": None, "custom_7": None,
+        assert {r: search_of(f) for r, f in factors.items()} == {
+            "custom_0": ("factor", UNBOUNDED), "custom_1": ("anchored", 1),
+            "custom_2": ("anchored", 0), "custom_3": ("factor", UNBOUNDED),
+            "custom_4": ("anchored", 2), "custom_5": None, "custom_6": None,
+            "custom_7": None, "custom_8": ("anchored", 4), "custom_9": ("anchored", 4),
         }
         # After the leading \b, from the first top-level literal on.
         cd = factors["custom_0"][0]
@@ -755,37 +824,98 @@ class TestRulePacks:
             True, True, False
         ]
         # Each alternative trimmed to start at its first literal.
-        quill = factors["custom_1"][0]
-        assert [quill.search(t).span() for t in ("a Quill ;", "QUILL;", "quill;")] == [
-            (3, 9), (0, 6), (1, 6)
+        kelp = factors["custom_3"][0]
+        assert [kelp.search(t).span() for t in ("a Kelp#", "KELP#", "kelp#")] == [
+            (3, 7), (0, 5), (1, 5)
         ]
-        assert quill.search("Quill:") is None
+        assert kelp.search("Kelp:") is None
 
     def test_factored_search_finds_what_finditer_finds(self, tmp_path):
-        """The search resumes before each factor match: past one where the
-        rule fails ("xopal!", whose [A-Z] is missing), and at the end of
-        each match, so back-to-back matches are all found."""
+        """The search resumes before each trigger occurrence: past one where
+        the rule fails ("xopal!", whose [A-Z] is missing), and at the end of
+        each match, so back-to-back matches are all found.
+
+        Then a seeded differential test of the search paths: on texts dense
+        with trigger members, detect with each rule alone finds exactly the
+        non-empty matches of finditer, a search from the trigger tries each
+        start at most once, and one with its reach one short misses
+        matches."""
         pattern = "[A-Z](?:[Oo]pal|OPAL)!"
-        config = DetectorConfig(rules_dir=write_rules(tmp_path, [("citation", pattern)]))
+        rules_dir = write_rules(tmp_path / "one", [("citation", pattern)])
+        config = DetectorConfig(rules_dir=rules_dir)
         [(*_, factor)] = _compiled_rules(config)
-        assert factor[1] == 2
+        assert factor == (None, 2)
         text = "xopal! Mopal!NOPAL! opal! Zopal!"
         spans = [(d.span.start, d.span.end) for d in detect(text, config)]
         assert spans == [m.span() for m in re.finditer(pattern, text)] == [
             (7, 13), (13, 19), (26, 32)
         ]
 
+        rng = random.Random(20261019)
+        configs = [
+            DetectorConfig(rules_dir=write_rules(tmp_path / f"rule_{i}", [rule]))
+            for i, rule in enumerate(SEARCH_RULES)
+        ]
+        rules = [_compiled_rules(config)[0] for config in configs]
+        anchored = [i for i, rule in enumerate(rules) if rule[4] and rule[4][0] is None]
+        assert anchored == [0, 1, 2, 3, 4, 5, 6]
+        assert {rules[i][4][1] for i in anchored} >= {0, 41}
+        texts = [
+            "".join(rng.choice(SEARCH_PIECES) for _ in range(rng.randint(1, 14)))
+            for _ in range(3000)
+        ]
+        starts = Counter()
+
+        class Tried:
+            def __init__(self, regex):
+                self.regex = regex
+
+            def match(self, text, pos):
+                starts[pos] += 1
+                return self.regex.match(text, pos)
+
+        covered = Counter()
+        for i, (config, (*_, regex, trigger, factor)) in enumerate(zip(configs, rules)):
+            for text in texts:
+                want = [m.span() for m in regex.finditer(text) if m.end() > m.start()]
+                got = [(d.span.start, d.span.end) for d in detect(text, config)]
+                assert got == want, (SEARCH_RULES[i], text)
+                covered[i, "match"] += bool(want)
+                covered[i, "back to back"] += any(a[1] == b[0] for a, b in zip(want, want[1:]))
+                covered[i, "at 0"] += any(text.startswith(t) for t in trigger)
+                covered[i, "at end"] += any(text.endswith(t) for t in trigger)
+                if i not in anchored:
+                    continue
+                starts.clear()
+                ahead = detectors._occurrences(trigger, text)
+                list(detectors._anchored_matches(Tried(regex), ahead, factor[1], text))
+                assert max(starts.values(), default=1) == 1, (SEARCH_RULES[i], text)
+                ahead = detectors._occurrences(trigger, text)
+                short = detectors._anchored_matches(regex, ahead, factor[1] - 1, text)
+                covered[i, "short misses"] += [m.span() for m in short] != want
+        # Not vacuous. The rules that end in $, or in \b after a digit,
+        # cannot match back to back.
+        for i in range(len(SEARCH_RULES)):
+            kinds = ["match", "at 0", "at end"]
+            if i not in (1, 8):
+                kinds.append("back to back")
+            if i in anchored:
+                kinds.append("short misses")
+            for kind in kinds:
+                assert covered[i, kind] >= 5, (SEARCH_RULES[i], kind, covered[i, kind])
+
     def test_prescreen_skips_rules_whose_literals_are_absent(self, monkeypatch):
         """Case-exact headings, one-character punctuation triggers, the
         joined MSC prefix and the factor behind a passing trigger keep these
-        rules off a text with only their near misses."""
+        rules off a text with only their near misses. A rule searched from
+        its trigger's members runs only where one occurs."""
         text = (
             "Results show that the films grew. Methods differ across samples. "
             "Data were measured in 2019. Study of copyright law and funding rates."
         )
         skipped = (
             "heading_embedded", "heading_caps", "journal_vol_pages", "msc_codes",
-            "bracket_refs", "paren_figtab", "funding_lead",
+            "bracket_refs", "paren_figtab",
         )
         notice = text + " Copyright 2019 the authors."
         _, runs = detect_counting_runs(monkeypatch, [text, notice], [DetectorConfig()])
@@ -798,6 +928,22 @@ class TestRulePacks:
                      if r == "copyright_word"]
         assert detectors._passes(trigger, text)
         assert runs["copyright_word"] == 1
+        # funding_lead (reach 1) is tried at the two starts that reach the
+        # "unding" of "funding rates", and nowhere else.
+        [(_c, _r, regex, trigger, factor)] = [
+            rule for rule in _compiled_rules(DetectorConfig()) if rule[1] == "funding_lead"
+        ]
+        tried = []
+
+        class Tried:
+            def match(self, text, pos):
+                tried.append(pos)
+                return regex.match(text, pos)
+
+        ahead = detectors._occurrences(trigger, text)
+        assert list(detectors._anchored_matches(Tried(), ahead, factor[1], text)) == []
+        assert tried == [text.index("unding") - 1, text.index("unding")]
+        assert runs["funding_lead"] == 2
 
     def test_prescreen_is_case_exact(self, monkeypatch):
         """Upper-case near misses of case-class rules hold none of their exact

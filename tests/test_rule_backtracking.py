@@ -5,6 +5,9 @@ the same characters touch with only optional parts between them, such as
 ``[ \\t]*(?:Codes)?[ \\t]*``: when the rest of the pattern fails, it tries
 every way of splitting the run between them. The rewritten rules put each
 run inside the optional group it follows, so a run of spaces has one parse.
+
+A rule's search, too, must stay linear where its trigger occurs densely:
+an anchored search tries the regex at each start at most once.
 """
 
 import json
@@ -229,5 +232,59 @@ def test_every_rule_is_linear_on_pumped_input():
     )
     assert result.returncode == 0, result.stderr
     worst = json.loads(result.stdout)
+    slow = {rule_id: t for rule_id, t in worst.items() if t > 1.0}
+    assert not slow, slow
+
+
+# Times detect with each built-in rule alone, in a pack of its own, over
+# 100,000 characters of each member of its trigger, repeated with a space
+# after it, and prints the worst time per rule as JSON.
+DENSE = """
+import json, sys, tempfile, time
+from pathlib import Path
+from declutter.detectors import DetectorConfig, detect
+worst = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for rule_id, line, trigger in json.load(sys.stdin):
+        pack = Path(tmp, rule_id)
+        pack.mkdir()
+        (pack / "one.rules").write_text(line + "\\n", encoding="utf-8")
+        config = DetectorConfig(rules_dir=str(pack))
+        detect("", config)
+        for member in trigger:
+            text = ((member + " ") * (100_000 // (len(member) + 1) + 1))[:100_000]
+            started = time.perf_counter()
+            detect(text, config)
+            worst[rule_id] = max(worst.get(rule_id, 0.0), time.perf_counter() - started)
+print(json.dumps(worst))
+"""
+
+
+def test_every_rule_is_linear_on_dense_triggers():
+    """Each built-in rule on 100,000 characters of one of its trigger's
+    members, repeated: "eprint eprint ...", "AIM AIM ...", "ord ord ...".
+    A rule searched from its trigger tries the regex at up to its reach
+    plus one starts per occurrence, each start at most once, so detect
+    with the rule alone finishes in well under a second. Like the pumping
+    test, it runs in a subprocess."""
+    triggers = {r: t for _c, r, _x, t, _f in _compiled_rules(DetectorConfig())}
+    cases = [
+        [line.split("\t")[0], line, triggers[line.split("\t")[0]]]
+        for pack in sorted((resources.files(detectors) / "rules").iterdir(), key=str)
+        if pack.name.endswith(".rules")
+        for line in pack.read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    assert {rule_id for rule_id, _l, _t in cases} == set(triggers)
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{DENSE}"],
+        input=json.dumps(cases),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    worst = json.loads(result.stdout)
+    assert set(worst) == set(triggers)
     slow = {rule_id: t for rule_id, t in worst.items() if t > 1.0}
     assert not slow, slow
