@@ -122,22 +122,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     outcomes = [score_abstract(r, predictions.get(r.id, [])) for r in gold]
 
-    overall = aggregate(outcomes)
-    by_labels = aggregate(outcomes, "has_labels")
-    category_map = None
+    # (table, title, rows): each table is printed under its title, and its
+    # rows go to --report under its name.
+    has_labels = {o.id: "yes" if o.gold_tokens else "no" for o in outcomes}
+    tables = [
+        ("overall", "all", aggregate(outcomes)),
+        ("has_labels", "Has labels", aggregate(outcomes, has_labels)),
+    ]
     if any(r.meta.get("source") for r in gold):
-        category_map = {r.id: (r.meta.get("source") or "(none)") for r in gold}
-    by_category = aggregate(outcomes, category_map) if category_map else []
+        sources = {r.id: r.meta.get("source") or "(none)" for r in gold}
+        tables.append(("category", "Category", aggregate(outcomes, sources)))
     buckets = length_buckets(outcomes, args.buckets)
+    tables.append(("length_buckets", "Length (tokens)", buckets))
 
-    print(_format_report_table("all", overall))
-    print()
-    print(_format_report_table("Has labels", by_labels))
-    if by_category:
-        print()
-        print(_format_report_table("Category", by_category))
-    print()
-    print(_format_report_table("Length (tokens)", buckets))
+    print("\n\n".join(_format_report_table(title, rows) for _, title, rows in tables))
     precision, recall, f1 = token_prf(outcomes)
     print()
     print(
@@ -147,12 +145,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.report:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            for table, rows in (
-                ("overall", overall),
-                ("has_labels", by_labels),
-                ("category", by_category),
-                ("length_buckets", buckets),
-            ):
+            for table, _title, rows in tables:
                 for row in rows:
                     line = {"table": table, **dataclasses.asdict(row)}
                     fh.write(json.dumps(line, ensure_ascii=False) + "\n")

@@ -22,11 +22,12 @@ hold a member of the trigger, and a factored rule only from the reach
 before each match of its factor, resuming at the end of the match it finds
 there. sre can search for a factor that starts with a branch only by its
 set of first characters, so a rule with such a factor is searched from its
-trigger instead, where every member lies at most a bounded reach after the
-match start: the prescreen keeps the first occurrence of each member,
-``str.find`` finds the later ones, and the regex is tried only at the
-starts that can reach one. Each rule has exactly one of these searches,
-chosen when its pack is loaded.
+trigger instead, where each member lies at most its own bounded reach
+after the match start: the prescreen keeps the first occurrence of each
+member, ``str.find`` finds the later ones, and the regex is tried only in
+each occurrence's window, the starts within its member's reach before it.
+Each rule has exactly one of these searches, chosen when its pack is
+loaded.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries,
@@ -86,6 +87,11 @@ class DetectorConfig:
     rules_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.enabled_categories, str):  # tuple() would split it
+            raise DetectorError(
+                f"enabled_categories must be a sequence of category names, "
+                f"not the string {self.enabled_categories!r}"
+            )
         object.__setattr__(self, "enabled_categories", tuple(self.enabled_categories))
         for name in self.enabled_categories:
             if name not in _CATEGORY_INDEX:
@@ -221,10 +227,10 @@ def _trigger(sets: list[dict[str, int]]) -> dict[str, int]:
     return min(candidates, key=lambda c: len(c) / min(map(len, c)), default={})
 
 
-def _factor(tree, reach: int) -> tuple[re.Pattern | None, int] | None:
+def _factor(tree, trigger: dict[str, int]) -> tuple | None:
     """How the rule's search skips ahead, cut from the parsed ``tree``: its
-    necessary factor and the factor's reach; ``(None, reach)`` to search
-    from the trigger, whose reach is ``reach``; or ``None``.
+    necessary factor and the factor's reach; ``(None, trigger)`` to search
+    from ``trigger``, the map from each member to its reach; or ``None``.
 
     The factor starts at the first top-level node that is a ``LITERAL``, or
     a ``BRANCH`` each of whose alternatives holds a top-level literal, and
@@ -245,17 +251,18 @@ def _factor(tree, reach: int) -> tuple[re.Pattern | None, int] | None:
 
     sre searches for a factor led by a branch only by its set of first
     characters, trying each place that holds one. Such a rule is searched
-    from its trigger instead, ``(None, reach)``, when the trigger's reach is
-    bounded; ``heading_embedded`` and ``doi_ref`` keep their factors, as
-    their triggers follow a ``[ \\t]*``. A factor led by a literal stays:
-    sre skips ahead by that literal, and past a factor match where the rule
-    fails its search goes on without a call per start.
+    from its trigger instead, ``(None, trigger)``, when every member's
+    reach is bounded; ``heading_embedded`` and ``doi_ref`` keep their
+    factors, as their triggers follow a ``[ \\t]*``. A factor led by a
+    literal stays: sre skips ahead by that literal, and past a factor match
+    where the rule fails its search goes on without a call per start.
 
     ``None`` where sre already skips on its own: a pattern led by a literal,
     by a branch whose alternatives all start with one, or by ``^`` or
     ``\\A`` (it is tried at the start only); and where no node qualifies.
     """
     data, state = tree.data, tree.state
+    reach = max(trigger.values(), default=_UNBOUNDED)
     if data and data[0][0].name == "AT" and data[0][1].name in (
         "AT_BEGINNING", "AT_BEGINNING_STRING"
     ):
@@ -276,7 +283,7 @@ def _factor(tree, reach: int) -> tuple[re.Pattern | None, int] | None:
             if i == 0 and not any(firsts):
                 return None
             if reach < _UNBOUNDED:
-                return None, reach
+                return None, trigger
             head = (op, (None, [
                 _sre_parse.SubPattern(state, alt.data[j:]) for alt, j in zip(alts, firsts)
             ]))
@@ -306,47 +313,56 @@ def _factored_matches(regex: re.Pattern, factor: re.Pattern, reach: int, text: s
         pos = m.end()
 
 
-def _occurrences(trigger: tuple[str, ...], text: str) -> list[tuple[int, str]]:
-    """``(offset, member)`` for the first occurrence of each member of
-    ``trigger`` that ``text`` holds: empty where it holds none, so this is
-    also the prescreen of a rule searched from its trigger."""
+def _occurrences(trigger: dict[str, int], text: str) -> list[tuple[int, int, str]]:
+    """``(earliest start, offset, member)`` for the first occurrence of each
+    member of ``trigger``, a map from member to reach, that ``text`` holds:
+    the earliest start is the offset less the member's reach. Empty where
+    the text holds none, so this is also the prescreen of a rule searched
+    from its trigger."""
     found = []
-    for member in trigger:
+    for member, reach in trigger.items():
         if member in text:
-            found.append((text.find(member), member))
+            at = text.find(member)
+            found.append((at - reach, at, member))
     return found
 
 
-def _anchored_matches(regex: re.Pattern, ahead: list[tuple[int, str]], reach: int, text: str):
+def _anchored_matches(
+    regex: re.Pattern, ahead: list[tuple], trigger: dict[str, int], text: str
+):
     """The matches ``regex.finditer(text)`` yields, found from the
     occurrences of the trigger's members: ``ahead`` holds the first of
     each, as ``_occurrences`` gives them, and ``str.find`` the next.
 
-    Every match holds a member at most ``reach`` characters after its
-    start, so only the starts from ``reach`` before an occurrence to the
-    occurrence itself can reach it. At each occurrence, in text order, the
-    regex is tried at those starts not tried yet, in order; the search
-    resumes at the end of each match, as ``finditer``'s does. The trigger
-    has no empty member, so no match is empty.
+    Every match holds a member at most its reach after the match start, so
+    only the starts from an occurrence's earliest start to the occurrence
+    itself can reach it. Occurrences are taken in order of earliest start;
+    one that lies before the resume point is moved on to the next
+    occurrence of its member first, since no match from there holds it.
+    At each other occurrence the regex is tried at those starts of its
+    window not tried yet, in order: no start before the window can reach
+    a member not passed yet. The search resumes at the end of each match,
+    as ``finditer``'s does. The trigger has no empty member, so no match
+    is empty.
     """
     find, match = text.find, regex.match
     heapify(ahead)  # the next occurrence of each member not yet passed
     pos = 0  # every start before pos is tried
     while ahead:
-        at = ahead[0][0]
-        for start in range(max(pos, at - reach), at + 1):
+        earliest, at, member = ahead[0]
+        if at < pos:
+            if (at := find(member, pos)) >= 0:
+                heapreplace(ahead, (at - trigger[member], at, member))
+            else:
+                heappop(ahead)
+            continue
+        for start in range(max(pos, earliest), at + 1):
             if m := match(text, start):
                 yield m
                 pos = m.end()
                 break
         else:
             pos = at + 1
-        while ahead and ahead[0][0] < pos:
-            member = ahead[0][1]
-            if (next_at := find(member, pos)) >= 0:
-                heapreplace(ahead, (next_at, member))
-            else:
-                heappop(ahead)
 
 
 def _compile_rule(pattern: str, where: str) -> tuple:
@@ -370,8 +386,7 @@ def _compile_rule(pattern: str, where: str) -> tuple:
     if tree.state.flags != re.UNICODE:
         raise _not_allowed(where, "inline flags")
     trigger = _trigger(_literal_sets(tree, where))
-    reach = max(trigger.values(), default=_UNBOUNDED)
-    return _sre_compile.compile(tree), tuple(trigger), _factor(tree, reach)
+    return _sre_compile.compile(tree), tuple(trigger), _factor(tree, trigger)
 
 
 def _parse_pack(lines: Iterable[str], where: str, first_at: dict[str, str]) -> list[tuple]:
@@ -429,8 +444,9 @@ def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
     ``trigger`` is a tuple of literal strings. ``factor`` picks the rule's
     one search path in ``detect``: ``None`` for ``finditer``; a pair of a
     compiled factor and its reach for ``_factored_matches``; or
-    ``(None, reach)``, the reach of the trigger, for ``_anchored_matches``,
-    whose prescreen is ``_occurrences``, not ``_passes``.
+    ``(None, reaches)``, a map from each trigger member to its reach, for
+    ``_anchored_matches``, whose prescreen is ``_occurrences``, not
+    ``_passes``, and which tries the regex in a window per occurrence.
 
     Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
@@ -535,7 +551,7 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
                 continue
             matches = _factored_matches(regex, *factor, text)
         else:
-            if not (ahead := _occurrences(trigger, text)):
+            if not (ahead := _occurrences(factor[1], text)):
                 continue
             matches = _anchored_matches(regex, ahead, factor[1], text)
         for m in matches:

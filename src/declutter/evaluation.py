@@ -118,33 +118,19 @@ def _stratum_report(key: str, outcomes: Sequence[AbstractOutcome]) -> EvalReport
 
 
 def aggregate(
-    outcomes: Iterable[AbstractOutcome],
-    grouping: str | Mapping[str, str] | None = None,
+    outcomes: Iterable[AbstractOutcome], grouping: Mapping[str, str] | None = None
 ) -> list[EvalReport]:
-    """Fold outcomes into per-stratum report rows.
+    """Fold outcomes into per-stratum report rows, in stratum name order.
 
-    ``grouping`` is ``None`` for a single overall row, ``"has_labels"`` for a
-    no/yes split on whether the gold labels cover any token, or a mapping from
-    record id to a stratum name (ids missing from the mapping land in
-    ``"(unmapped)"``). Strata are emitted in a fixed order: no/yes for the
-    labels split, name order otherwise. Empty strata are omitted.
+    ``grouping`` is ``None`` for a single ``"all"`` row, or a mapping from
+    record id to a stratum name; ids missing from it land in
+    ``"(unmapped)"``. Empty strata are omitted. Every figure of a row is a
+    ratio of integer counts, so the order of ``outcomes`` changes nothing.
     """
-    outcomes = sorted(outcomes, key=lambda o: o.id)
-    groups: list[tuple[str, list[AbstractOutcome]]]
-    if grouping is None:
-        groups = [("all", outcomes)] if outcomes else []
-    elif grouping == "has_labels":
-        no = [o for o in outcomes if o.gold_tokens == 0]
-        yes = [o for o in outcomes if o.gold_tokens > 0]
-        groups = [(key, grp) for key, grp in (("no", no), ("yes", yes)) if grp]
-    elif isinstance(grouping, Mapping):
-        by_name: dict[str, list[AbstractOutcome]] = defaultdict(list)
-        for o in outcomes:
-            by_name[grouping.get(o.id, "(unmapped)")].append(o)
-        groups = sorted(by_name.items())
-    else:
-        raise ValueError(f"unknown grouping {grouping!r}")
-    return [_stratum_report(key, grp) for key, grp in groups]
+    groups: dict[str, list[AbstractOutcome]] = defaultdict(list)
+    for o in outcomes:
+        groups["all" if grouping is None else grouping.get(o.id, "(unmapped)")].append(o)
+    return [_stratum_report(key, grp) for key, grp in sorted(groups.items())]
 
 
 def length_buckets(
@@ -155,11 +141,12 @@ def length_buckets(
 
     Bucket upper bounds are the length quantiles; an abstract whose length
     ties a boundary goes to the lower bucket, so heavy ties can collapse
-    adjacent buckets. Counts always sum to the number of outcomes.
+    adjacent buckets. Counts always sum to the number of outcomes, and, as
+    in :func:`aggregate`, their order changes nothing.
     """
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
-    outcomes = sorted(outcomes, key=lambda o: o.id)
+    outcomes = list(outcomes)
     if not outcomes:
         return []
     ordered = sorted(o.tokens for o in outcomes)

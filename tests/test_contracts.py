@@ -1,0 +1,177 @@
+"""Contract tests: relations between runs of the command-line tool that hold
+whatever the corpus, checked on one small seeded corpus through
+``declutter.cli.main``.
+
+The corpus is the golden fixtures plus records from the benchmark's
+generator (``perfbench/gen.py``, read only): abstracts with planted clutter
+and gold spans, and a few long dense texts. Every seventh generated record
+loses its ``meta.source``, so the category table has a ``(none)`` row.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import random
+import sys
+
+import pytest
+
+from declutter.cli import main
+from declutter.corpus import load_corpus
+from declutter.detectors import detect, to_rem_spans
+from declutter.evaluation import score_abstract, token_prf
+
+from conftest import DATA_DIR
+
+PERFBENCH = DATA_DIR.parents[1] / "perfbench"
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("declutter_contract_gen", PERFBENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _load_gen()
+SHAPES = {
+    "abstracts-10k": gen.Shape(records=200, queries=2, refs=6, vector_dim=8, shards=1),
+    "long-dense": gen.Shape(records=0, queries=1, refs=3, vector_dim=8, shards=1,
+                            long_records=6, long_min_chars=2_000, long_max_chars=6_000),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """``(path, lines, queries, vectors path)``: the corpus as JSONL lines,
+    rank-compare queries ``(focal, refs)``, and a vector file for them."""
+    lines = (DATA_DIR / "golden_clutter.jsonl").read_text(encoding="utf-8").splitlines()
+    queries, vectors = [], []
+    for workload, shape in SHAPES.items():
+        records, wl_queries, wl_vectors = gen.generate(workload, 11, shape)
+        for i, record in enumerate(records):
+            if i % 7 == 3:
+                del record["meta"]["source"]
+            lines.append(json.dumps(record, ensure_ascii=False))
+        queries += wl_queries
+        vectors += wl_vectors
+    root = tmp_path_factory.mktemp("contracts")
+    path = root / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    vectors_path = root / "vectors.jsonl"
+    gen.write_jsonl(str(vectors_path), vectors)
+    return path, lines, queries, vectors_path
+
+
+def run(argv):
+    """``main(argv)``'s stdout; the command must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([str(a) for a in argv]) == 0
+    return out.getvalue()
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def shuffled(lines, rng):
+    order = list(range(len(lines)))
+    rng.shuffle(order)
+    assert order != sorted(order)
+    return order, [lines[i] for i in order]
+
+
+def test_eval_does_not_depend_on_line_order(corpus, tmp_path):
+    """Permuting the gold lines and the prediction lines, each on its own,
+    leaves eval's stdout and --report the same bytes, with every table
+    present and the category table holding a (none) row."""
+    path, lines, _queries, _vectors = corpus
+    pred = tmp_path / "pred.jsonl"
+    run(["clean", "--input", path, "--output", pred])
+    pred_lines = pred.read_text(encoding="utf-8").splitlines()
+    rng = random.Random(20261019)
+    outputs = []
+    for k in range(3):
+        if k:
+            _, gold_k = shuffled(lines, rng)
+            _, pred_k = shuffled(pred_lines, rng)
+        else:
+            gold_k, pred_k = lines, pred_lines
+        gold_path = write_lines(tmp_path / f"gold{k}.jsonl", gold_k)
+        pred_path = write_lines(tmp_path / f"pred{k}.jsonl", pred_k)
+        for buckets in (1, 4, 7):
+            report = tmp_path / f"report{k}-{buckets}.jsonl"
+            stdout = run(["eval", "--gold", gold_path, "--pred", pred_path,
+                          "--buckets", buckets, "--report", report])
+            outputs.append((buckets, stdout, report.read_bytes()))
+    first = {b: (out, rep) for b, out, rep in outputs[:3]}
+    for buckets, stdout, report in outputs[3:]:
+        assert (stdout, report) == first[buckets], buckets
+    # Not vacuous: every table, both has-labels rows and a (none) category.
+    rows = [json.loads(line) for line in first[7][1].decode("utf-8").splitlines()]
+    keys = {(r["table"], r["group_key"]) for r in rows}
+    assert {"overall", "has_labels", "category", "length_buckets"} == {t for t, _ in keys}
+    assert {("has_labels", "no"), ("has_labels", "yes"), ("category", "(none)")} <= keys
+
+
+def test_clean_permutes_with_its_input(corpus, tmp_path):
+    """Permuting clean's input lines permutes its output lines the same
+    way, and its stdout stays the same."""
+    path, lines, _queries, _vectors = corpus
+    out = tmp_path / "out.jsonl"
+    stdout = run(["clean", "--input", path, "--output", out])
+    cleaned = out.read_text(encoding="utf-8").splitlines()
+    assert len(cleaned) == len(lines) and cleaned != lines
+    rng = random.Random(20261020)
+    for _ in range(2):
+        order, permuted = shuffled(lines, rng)
+        assert run(["clean", "--input", write_lines(tmp_path / "in.jsonl", permuted),
+                    "--output", out]) == stdout
+        assert out.read_text(encoding="utf-8").splitlines() == [cleaned[i] for i in order]
+
+
+def test_eval_of_clean_output_scores_detect(corpus, tmp_path):
+    """clean on the corpus with its spans emptied, then eval of its output
+    against the corpus, prints the micro scores of detect's removal spans
+    on each gold record."""
+    path, lines, _queries, _vectors = corpus
+    unlabeled = [json.dumps({**json.loads(line), "spans": []}, ensure_ascii=False)
+                 for line in lines]
+    pred = tmp_path / "pred.jsonl"
+    run(["clean", "--input", write_lines(tmp_path / "in.jsonl", unlabeled), "--output", pred])
+    stdout = run(["eval", "--gold", path, "--pred", pred])
+    gold = load_corpus(str(path), schema="gold")
+    outcomes = [score_abstract(r, to_rem_spans(detect(r.text))) for r in gold]
+    precision, recall, f1 = token_prf(outcomes)
+    assert stdout.splitlines()[-1] == (
+        f"token-level micro: precision={precision:.6f} "
+        f"recall={recall:.6f} f1={f1:.6f}"
+    )
+    # Not vacuous: the cleaner both over- and under-removes here.
+    assert 0 < precision < 1 and 0 < recall < 1
+
+
+@pytest.mark.parametrize("provider", ["builtin", "vectors"])
+def test_rank_compare_does_not_depend_on_ref_order(corpus, tmp_path, provider):
+    """The parsed rank-compare --report is the same for any order of
+    --refs."""
+    path, _lines, queries, vectors = corpus
+    rng = random.Random(20261021)
+    flags = ["--provider", provider] + (["--vectors", vectors] if provider == "vectors" else [])
+    changed = 0
+    for focal, refs in queries:
+        reports = []
+        for k in range(3):
+            order = list(refs) if k == 0 else rng.sample(refs, len(refs))
+            report = tmp_path / f"rank{k}.json"
+            run(["rank-compare", "--input", path, "--focal", focal,
+                 "--refs", ",".join(order), "--report", report, *flags])
+            reports.append(json.loads(report.read_text(encoding="utf-8")))
+        assert reports[1] == reports[0] and reports[2] == reports[0], focal
+        changed += reports[0]["changed"]
+    # Not vacuous: some ranking moves.
+    assert changed

@@ -93,9 +93,10 @@ BUILTIN_TRIGGERS = {
 UNBOUNDED = detectors._sre_parse.MAXREPEAT
 
 # The search of every built-in rule: ("anchored", reach) where the rule
-# searches from the occurrences of its trigger's members, each at most the
-# reach after the match start; ("factor", reach) where it skips ahead by a
-# factor cut from its pattern; None where it runs finditer behind its trigger.
+# searches from the occurrences of its trigger's members, each at most its
+# own reach after the match start, and reach is the largest of those;
+# ("factor", reach) where it skips ahead by a factor cut from its pattern;
+# None where it runs finditer behind its trigger.
 BUILTIN_SEARCHES = {
     # sre tries heading_lead, led by ^, at the start of the text only; a
     # factor would scan the whole text for nothing.
@@ -128,7 +129,9 @@ def search_of(factor):
     """A rule's search as the tables here pin it."""
     if factor is None:
         return None
-    return ("anchored" if factor[0] is None else "factor", min(factor[1], UNBOUNDED))
+    if factor[0] is None:
+        return ("anchored", max(factor[1].values()))
+    return ("factor", min(factor[1], UNBOUNDED))
 
 
 # Text pieces for the prescreen differential test: a match of every built-in
@@ -444,6 +447,12 @@ class TestDetect:
     def test_unknown_category_rejected(self):
         with pytest.raises(DetectorError, match="unknown category"):
             DetectorConfig(enabled_categories=("copyright", "watermark"))
+
+    def test_bare_string_categories_rejected(self):
+        """tuple() of a string is its characters; the error names the
+        string, not its first character."""
+        with pytest.raises(DetectorError, match="not the string 'copyright'"):
+            DetectorConfig(enabled_categories="copyright")
 
     def test_custom_rule(self, tmp_path):
         rules = [("citation", r"PMID[ \t]*:[ \t]*[0-9]{6,9}")]
@@ -838,13 +847,14 @@ class TestRulePacks:
         Then a seeded differential test of the search paths: on texts dense
         with trigger members, detect with each rule alone finds exactly the
         non-empty matches of finditer, a search from the trigger tries each
-        start at most once, and one with its reach one short misses
+        start at most once and only within a member's reach before one of
+        its occurrences, and one with each member's reach one short misses
         matches."""
         pattern = "[A-Z](?:[Oo]pal|OPAL)!"
         rules_dir = write_rules(tmp_path / "one", [("citation", pattern)])
         config = DetectorConfig(rules_dir=rules_dir)
         [(*_, factor)] = _compiled_rules(config)
-        assert factor == (None, 2)
+        assert factor == (None, {"OPAL": 1, "pal": 2})
         text = "xopal! Mopal!NOPAL! opal! Zopal!"
         spans = [(d.span.start, d.span.end) for d in detect(text, config)]
         assert spans == [m.span() for m in re.finditer(pattern, text)] == [
@@ -859,7 +869,7 @@ class TestRulePacks:
         rules = [_compiled_rules(config)[0] for config in configs]
         anchored = [i for i, rule in enumerate(rules) if rule[4] and rule[4][0] is None]
         assert anchored == [0, 1, 2, 3, 4, 5, 6]
-        assert {rules[i][4][1] for i in anchored} >= {0, 41}
+        assert {max(rules[i][4][1].values()) for i in anchored} >= {0, 41}
         texts = [
             "".join(rng.choice(SEARCH_PIECES) for _ in range(rng.randint(1, 14)))
             for _ in range(3000)
@@ -887,12 +897,22 @@ class TestRulePacks:
                 if i not in anchored:
                     continue
                 starts.clear()
-                ahead = detectors._occurrences(trigger, text)
-                list(detectors._anchored_matches(Tried(regex), ahead, factor[1], text))
+                reaches = factor[1]
+                ahead = detectors._occurrences(reaches, text)
+                list(detectors._anchored_matches(Tried(regex), ahead, reaches, text))
                 assert max(starts.values(), default=1) == 1, (SEARCH_RULES[i], text)
-                ahead = detectors._occurrences(trigger, text)
-                short = detectors._anchored_matches(regex, ahead, factor[1] - 1, text)
-                covered[i, "short misses"] += [m.span() for m in short] != want
+                windows = {
+                    start
+                    for member, reach in reaches.items()
+                    for at in range(len(text))
+                    if text.startswith(member, at)
+                    for start in range(at - reach, at + 1)
+                }
+                assert set(starts) <= windows, (SEARCH_RULES[i], text)
+                short = {member: reach - 1 for member, reach in reaches.items()}
+                ahead = detectors._occurrences(short, text)
+                found = detectors._anchored_matches(regex, ahead, short, text)
+                covered[i, "short misses"] += [m.span() for m in found] != want
         # Not vacuous. The rules that end in $, or in \b after a digit,
         # cannot match back to back.
         for i in range(len(SEARCH_RULES)):
@@ -940,7 +960,7 @@ class TestRulePacks:
                 tried.append(pos)
                 return regex.match(text, pos)
 
-        ahead = detectors._occurrences(trigger, text)
+        ahead = detectors._occurrences(factor[1], text)
         assert list(detectors._anchored_matches(Tried(), ahead, factor[1], text)) == []
         assert tried == [text.index("unding") - 1, text.index("unding")]
         assert runs["funding_lead"] == 2

@@ -213,7 +213,8 @@ class TestAggregate:
             score_abstract(rec("a", "x y"), []),
             score_abstract(rec("b", "p q r", gold=[(0, 3)]), [Span(0, 3)]),
         ]
-        rows = aggregate(outcomes, "has_labels")
+        has_labels = {o.id: "yes" if o.gold_tokens else "no" for o in outcomes}
+        rows = aggregate(outcomes, has_labels)
         assert [r.group_key for r in rows] == ["no", "yes"]
         assert all(r.count == 1 for r in rows)
 
@@ -235,15 +236,12 @@ class TestAggregate:
             record = rec(f"x{i}", "t0 t1 t2 t3 t4 t5 t6 t7")
             end = 3 * tokens - 1
             outcomes.append(score_abstract(record, [Span(0, end)]))
-        (row,) = aggregate(outcomes, "has_labels")
+        has_labels = {o.id: "yes" if o.gold_tokens else "no" for o in outcomes}
+        (row,) = aggregate(outcomes, has_labels)
         assert row.group_key == "no"
         assert row.count == 44
         assert row.excess_share == pytest.approx(100 * 3 / 44)
         assert row.excess_avg == pytest.approx(19 / 3)
-
-    def test_unknown_grouping_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([], "nope")
 
 
 class TestLengthBuckets:
