@@ -45,7 +45,7 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
         categories = ()
     else:
         categories = tuple(name for name in raw.split(",") if name)
-    config = DetectorConfig(enabled_categories=categories, rules_dir=args.rules or None)
+    config = DetectorConfig(enabled_categories=categories, rules_dir=args.rules)
     # Compile the packs now: an invalid pack must fail the command even when
     # the corpus is empty and detect never runs on a record.
     detect("", config)

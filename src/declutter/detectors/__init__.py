@@ -14,20 +14,20 @@ stay portable across regex engines.
 
 Each rule also gets a prescreen and a search path, derived from the same
 parse. Its trigger is one set of literal strings of which every match
-contains one verbatim. Its factor, when it has one, is the part of the
-pattern from its first top-level literal, or branch with a literal in every
-alternative, on: a regex every match contains, at most the factor's reach
-after the match starts. ``detect`` runs a rule's regex only on texts that
-hold a member of the trigger, and a factored rule only from the reach
-before each match of its factor, resuming at the end of the match it finds
-there. sre can search for a factor that starts with a branch only by its
-set of first characters, so a rule with such a factor is searched from its
-trigger instead, where each member lies at most its own bounded reach
-after the match start: the prescreen keeps the first occurrence of each
-member, ``str.find`` finds the later ones, and the regex is tried only in
-each occurrence's window, the starts within its member's reach before it.
-Each rule has exactly one of these searches, chosen when its pack is
-loaded.
+contains one verbatim, and ``detect`` runs a rule only on texts that hold a
+member of it. Its factor, when it has one, is the pattern from its first
+top-level literal, or branch whose alternatives all start with a literal,
+on: a regex every match contains, at most the factor's reach after the
+match starts. ``detect`` runs a factored rule only from the reach before
+each match of its factor, resuming at the end of the match it finds there.
+sre can search for a factor that starts with a branch only by its set of
+first characters, so a rule with a branch that has a literal in every
+alternative before its first top-level literal is searched from its
+trigger instead, when each member lies at most its own bounded reach after
+the match start: ``str.find`` finds each member's occurrences, and the
+regex is tried only in each occurrence's window, the starts within its
+member's reach before it. Each rule has exactly one of these searches,
+chosen when its pack is loaded.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries,
@@ -80,7 +80,8 @@ SENTENCE_SCOPED = frozenset({"copyright", "order_info", "translation", "funding"
 class DetectorConfig:
     """Which categories run, and where the rule packs are.
 
-    ``rules_dir`` replaces the built-in packs entirely.
+    ``rules_dir`` replaces the built-in packs entirely; ``None`` or ``""``
+    means the built-in packs.
     """
 
     enabled_categories: tuple[str, ...] = CATEGORY_REGISTRY
@@ -93,6 +94,7 @@ class DetectorConfig:
                 f"not the string {self.enabled_categories!r}"
             )
         object.__setattr__(self, "enabled_categories", tuple(self.enabled_categories))
+        object.__setattr__(self, "rules_dir", self.rules_dir or None)
         for name in self.enabled_categories:
             if name not in _CATEGORY_INDEX:
                 raise DetectorError(f"unknown category {name!r}")
@@ -232,30 +234,27 @@ def _factor(tree, trigger: dict[str, int]) -> tuple | None:
     necessary factor and the factor's reach; ``(None, trigger)`` to search
     from ``trigger``, the map from each member to its reach; or ``None``.
 
-    The factor starts at the first top-level node that is a ``LITERAL``, or
-    a ``BRANCH`` each of whose alternatives holds a top-level literal, and
-    runs to the end of the pattern. Each alternative of such a branch is
-    trimmed to start at its first literal. The factor's reach is the widest
-    the part cut off can be: the nodes before the factor plus the widest
-    trimmed prefix.
-
-    Every match of the pattern ``A·(P·L|...)·R`` holds a match of
-    ``(L|...)·R`` where ``P`` ends, at most ``reach`` characters after the
-    match starts, and ``\\b``, ``^`` and ``$`` test the same text there. So
-    a text in which the factor has no match holds no match of the rule, and
-    no match of the rule starts more than ``reach`` characters before the
-    first match of the factor. sre skips ahead by a leading literal, or by
-    the first characters of a leading branch whose alternatives all start
-    with one; a rule led by ``\\b``, a class, an optional group or a branch
-    with a class-led alternative gives it no literal to skip by.
+    The factor is the parse tree from the first top-level node that is a
+    ``LITERAL``, or a ``BRANCH`` each of whose alternatives starts with one,
+    to the end; its reach is the most characters the nodes before it can
+    span. Every match of the pattern ``A·F`` holds a match of ``F`` where
+    ``A`` ends, at most ``reach`` characters after the match starts, and
+    ``\\b``, ``^`` and ``$`` test the same text there. So a text in which
+    the factor has no match holds no match of the rule, and no match of the
+    rule starts more than ``reach`` characters before the first match of
+    the factor. A rule led by ``\\b``, a class, an optional group or a
+    branch with a class-led alternative gives sre no literal to skip ahead
+    by; its factor gives it one.
 
     sre searches for a factor led by a branch only by its set of first
-    characters, trying each place that holds one. Such a rule is searched
-    from its trigger instead, ``(None, trigger)``, when every member's
-    reach is bounded; ``heading_embedded`` and ``doi_ref`` keep their
-    factors, as their triggers follow a ``[ \\t]*``. A factor led by a
-    literal stays: sre skips ahead by that literal, and past a factor match
-    where the rule fails its search goes on without a call per start.
+    characters, trying each place that holds one. So when a branch with a
+    top-level literal in every alternative comes before the first top-level
+    literal, and every member of ``trigger`` has a bounded reach, the rule
+    is searched from its trigger instead, ``(None, trigger)``.
+    ``heading_embedded`` and ``doi_ref`` keep their factors, as their
+    triggers follow a ``[ \\t]*``. A factor led by a literal stays: sre
+    skips ahead by that literal, and past a factor match where the rule
+    fails its search goes on without a call per start.
 
     ``None`` where sre already skips on its own: a pattern led by a literal,
     by a branch whose alternatives all start with one, or by ``^`` or
@@ -268,15 +267,10 @@ def _factor(tree, trigger: dict[str, int]) -> tuple | None:
     ):
         return None
     for i, (op, av) in enumerate(data):
-        if op.name == "LITERAL":
-            if i == 0:
-                return None
-            head, trimmed = (op, av), 0
-        elif op.name == "BRANCH":
-            alts = av[1]
+        if op.name == "BRANCH":
             firsts = [
                 next((j for j, (o, _a) in enumerate(alt.data) if o.name == "LITERAL"), None)
-                for alt in alts
+                for alt in av[1]
             ]
             if None in firsts:
                 continue
@@ -284,14 +278,14 @@ def _factor(tree, trigger: dict[str, int]) -> tuple | None:
                 return None
             if reach < _UNBOUNDED:
                 return None, trigger
-            head = (op, (None, [
-                _sre_parse.SubPattern(state, alt.data[j:]) for alt, j in zip(alts, firsts)
-            ]))
-            trimmed = max(_width(state, alt.data[:j]) for alt, j in zip(alts, firsts))
-        else:
+            if any(firsts):
+                continue
+        elif op.name != "LITERAL":
             continue
-        factor = _sre_parse.SubPattern(state, [head, *data[i + 1 :]])
-        return _sre_compile.compile(factor), _width(state, data[:i]) + trimmed
+        elif i == 0:
+            return None
+        factor = _sre_parse.SubPattern(state, data[i:])
+        return _sre_compile.compile(factor), _width(state, data[:i])
     return None
 
 
@@ -313,46 +307,36 @@ def _factored_matches(regex: re.Pattern, factor: re.Pattern, reach: int, text: s
         pos = m.end()
 
 
-def _occurrences(trigger: dict[str, int], text: str) -> list[tuple[int, int, str]]:
-    """``(earliest start, offset, member)`` for the first occurrence of each
-    member of ``trigger``, a map from member to reach, that ``text`` holds:
-    the earliest start is the offset less the member's reach. Empty where
-    the text holds none, so this is also the prescreen of a rule searched
-    from its trigger."""
-    found = []
-    for member, reach in trigger.items():
-        if member in text:
-            at = text.find(member)
-            found.append((at - reach, at, member))
-    return found
-
-
-def _anchored_matches(
-    regex: re.Pattern, ahead: list[tuple], trigger: dict[str, int], text: str
-):
+def _anchored_matches(regex: re.Pattern, reaches: dict[str, int], text: str):
     """The matches ``regex.finditer(text)`` yields, found from the
-    occurrences of the trigger's members: ``ahead`` holds the first of
-    each, as ``_occurrences`` gives them, and ``str.find`` the next.
+    occurrences of the trigger's members, ``reaches`` mapping each to its
+    reach: ``str.find`` finds the first occurrence of each, and the next.
 
     Every match holds a member at most its reach after the match start, so
-    only the starts from an occurrence's earliest start to the occurrence
-    itself can reach it. Occurrences are taken in order of earliest start;
-    one that lies before the resume point is moved on to the next
-    occurrence of its member first, since no match from there holds it.
-    At each other occurrence the regex is tried at those starts of its
-    window not tried yet, in order: no start before the window can reach
-    a member not passed yet. The search resumes at the end of each match,
-    as ``finditer``'s does. The trigger has no empty member, so no match
-    is empty.
+    only the starts from an occurrence's earliest start, the occurrence less
+    its member's reach, to the occurrence itself can reach it. Occurrences
+    are taken in order of earliest start, one per member at a time; one
+    that lies before the resume point is moved on to the next occurrence of
+    its member first, since no match from there holds it. At each other
+    occurrence the regex is tried at those starts of its window not tried
+    yet, in order: no start before the window can reach a member not passed
+    yet. The search resumes at the end of each match, as ``finditer``'s
+    does. The trigger has no empty member, so no match is empty.
     """
     find, match = text.find, regex.match
-    heapify(ahead)  # the next occurrence of each member not yet passed
+    # The next occurrence of each member not yet passed.
+    ahead = [
+        (at - reach, at, member)
+        for member, reach in reaches.items()
+        if (at := find(member)) >= 0
+    ]
+    heapify(ahead)
     pos = 0  # every start before pos is tried
     while ahead:
         earliest, at, member = ahead[0]
         if at < pos:
             if (at := find(member, pos)) >= 0:
-                heapreplace(ahead, (at - trigger[member], at, member))
+                heapreplace(ahead, (at - reaches[member], at, member))
             else:
                 heappop(ahead)
             continue
@@ -402,9 +386,14 @@ def _parse_pack(lines: Iterable[str], where: str, first_at: dict[str, str]) -> l
             raise DetectorError(
                 f"{where}:{lineno}: expected 'rule_id<TAB>category<TAB>pattern'"
             )
-        rule_id, category, pattern = (p.strip() for p in parts)
+        rule_id, category, pattern = parts[0].strip(), parts[1].strip(), parts[2]
         if not rule_id or not pattern:
             raise DetectorError(f"{where}:{lineno}: empty rule id or pattern")
+        if pattern != pattern.strip():
+            raise DetectorError(
+                f"{where}:{lineno}: pattern has leading or trailing whitespace; "
+                "write an edge blank as [ ]"
+            )
         if category not in _CATEGORY_INDEX:
             raise DetectorError(f"{where}:{lineno}: unknown category {category!r}")
         where_line = f"{where}:{lineno}"
@@ -445,8 +434,8 @@ def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
     one search path in ``detect``: ``None`` for ``finditer``; a pair of a
     compiled factor and its reach for ``_factored_matches``; or
     ``(None, reaches)``, a map from each trigger member to its reach, for
-    ``_anchored_matches``, whose prescreen is ``_occurrences``, not
-    ``_passes``, and which tries the regex in a window per occurrence.
+    ``_anchored_matches``, which tries the regex in a window per occurrence.
+    Every rule runs only on a text that ``_passes`` its trigger.
 
     Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
@@ -542,18 +531,14 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     seen: set[tuple] = set()
     bounds = None
     for category, rule_id, regex, trigger, factor in _compiled_rules(config):
+        if not _passes(trigger, text):
+            continue
         if factor is None:
-            if not _passes(trigger, text):
-                continue
             matches = regex.finditer(text)
         elif factor[0] is not None:
-            if not _passes(trigger, text):
-                continue
             matches = _factored_matches(regex, *factor, text)
         else:
-            if not (ahead := _occurrences(factor[1], text)):
-                continue
-            matches = _anchored_matches(regex, ahead, factor[1], text)
+            matches = _anchored_matches(regex, factor[1], text)
         for m in matches:
             s, e = m.span()
             if s == e:

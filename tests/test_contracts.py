@@ -5,7 +5,10 @@ whatever the corpus, checked on one small seeded corpus through
 The corpus is the golden fixtures plus records from the benchmark's
 generator (``perfbench/gen.py``, read only): abstracts with planted clutter
 and gold spans, and a few long dense texts. Every seventh generated record
-loses its ``meta.source``, so the category table has a ``(none)`` row.
+loses its ``meta.source``, so the category table has a ``(none)`` row. Then
+come short adversarial records (``ADVERSARIAL``): lines in every JSON layout
+the reader accepts, unknown fields, an empty and a ``null`` ``meta``, and
+texts that pump a backtracking rule or a search from trigger members.
 """
 
 import contextlib
@@ -42,6 +45,39 @@ SHAPES = {
                             long_records=6, long_min_chars=2_000, long_max_chars=6_000),
 }
 
+NOTICE = "\u00a9 2021 Soci\u00e9t\u00e9 Fran\u00e7aise de Chimie. All rights reserved."
+
+
+def _adversarial():
+    """``(id, JSONL line)`` of each adversarial record."""
+    lines = [
+        json.dumps({"id": "x-fields", "text": "Short content here. " + NOTICE,
+                    "spans": [{"start": 20, "end": 20 + len(NOTICE), "label": "REM"}],
+                    "doi": "10.1/x", "extra": {"nested": [1, None]},
+                    "meta": {"year": 2019, "journal": "J"}}),
+        json.dumps({"id": "x-compact", "text": "Films grew. Funding: NSF grant 12345.",
+                    "spans": [], "meta": {"source": "crawl"}}, separators=(",", ":")),
+        "  " + json.dumps({"id": "x-padded", "text": "Keywords: films; growth. Results.",
+                           "spans": []}, separators=(" , ", " : ")) + " \t",
+        json.dumps({"id": "x-unicode", "text": "Th\u00e9 \u2014 \u8457\u4f5c\u6a29. " + NOTICE,
+                    "spans": [], "meta": {"source": "\u00e9cole"}}, ensure_ascii=False),
+        json.dumps({"id": "x-escaped", "text": "Caf\u00e9 \U0001d54f data. " + NOTICE,
+                    "spans": []}),
+        json.dumps({"id": "x-meta-empty", "text": "Plain words only.", "spans": [],
+                    "meta": {}}),
+        json.dumps({"id": "x-meta-null", "text": "Plain words. (Fig. 2)", "spans": [],
+                    "meta": None}),
+    ]
+    pumped = ["Text. " + lead + " " * 300 + "x"
+              for lead in ("JEL", "EudraCT", "Trial registration")]
+    pumped += ["eprint " * 60, "AIM " * 80, "ord " * 80]
+    lines += [json.dumps({"id": f"x-pump{i}", "text": text, "spans": []})
+              for i, text in enumerate(pumped)]
+    return [(json.loads(line)["id"], line) for line in lines]
+
+
+ADVERSARIAL = _adversarial()
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -57,6 +93,12 @@ def corpus(tmp_path_factory):
             lines.append(json.dumps(record, ensure_ascii=False))
         queries += wl_queries
         vectors += wl_vectors
+    lines += [line for _id, line in ADVERSARIAL]
+    ids = [rid for rid, _line in ADVERSARIAL]
+    queries.append((ids[3], ids[:3] + ids[4:]))
+    rng = random.Random(20261022)
+    vectors += [{"id": rid + suffix, "values": [rng.gauss(0.0, 1.0) for _ in range(8)]}
+                for rid in ids for suffix in ("", "::cleaned")]
     root = tmp_path_factory.mktemp("contracts")
     path = root / "corpus.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -126,6 +168,10 @@ def test_clean_permutes_with_its_input(corpus, tmp_path):
     stdout = run(["clean", "--input", path, "--output", out])
     cleaned = out.read_text(encoding="utf-8").splitlines()
     assert len(cleaned) == len(lines) and cleaned != lines
+    # Not vacuous: clean removes clutter from a record in each JSON layout.
+    texts = {r["id"]: r["text"] for r in map(json.loads, cleaned)}
+    for rid, line in ADVERSARIAL[:5]:
+        assert len(texts[rid]) < len(json.loads(line)["text"]), rid
     rng = random.Random(20261020)
     for _ in range(2):
         order, permuted = shuffled(lines, rng)

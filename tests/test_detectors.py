@@ -691,6 +691,36 @@ class TestRulePacks:
         with pytest.raises(DetectorError, match="no .rules files"):
             detect("t", DetectorConfig(rules_dir=str(tmp_path)))
 
+    def test_empty_string_rules_dir_means_builtin_packs(self, tmp_path, monkeypatch):
+        """``rules_dir=""`` is the built-in packs, as ``--rules ""`` is: a
+        pack in the working directory is not read."""
+        assert DetectorConfig(rules_dir="") == DetectorConfig()
+        (tmp_path / "x.rules").write_text("mine\tcopyright\tMYMARK\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        text = "Text. MYMARK stays. Copyright 2019 the authors."
+        assert [d.rule_id for d in detect(text, DetectorConfig(rules_dir=""))] == [
+            "copyright_word"
+        ]
+
+    def test_pattern_edge_blanks_rejected(self, tmp_path):
+        """A blank at either edge of a pattern is an error, not silently
+        dropped: ``food `` would otherwise match inside "seafood". The id
+        and the category may carry blanks; a bracketed blank loads."""
+        pack = tmp_path / "x.rules"
+        for pattern in ("food ", " see", "\u00a0see", "  see "):
+            pack.write_text(f"r1\tcitation\t{pattern}\n", encoding="utf-8")
+            with pytest.raises(DetectorError) as info:
+                detect("t", DetectorConfig(rules_dir=str(tmp_path)))
+            assert str(info.value) == (
+                f"{pack}:1: pattern has leading or trailing whitespace; "
+                "write an edge blank as [ ]"
+            )
+        pack.write_text(" r1 \t citation \t[ ]food[ ]\n", encoding="utf-8")
+        detections = detect("seafood and food here", DetectorConfig(rules_dir=str(tmp_path)))
+        assert [(d.rule_id, d.span.start, d.span.end) for d in detections] == [
+            ("r1", 11, 17)
+        ]
+
     def test_triggers_never_skip_a_match(self, golden_path, monkeypatch, tmp_path):
         """Seeded differential test of the prescreen: on random texts, detect
         with triggers, factors and anchored searches equals detect with all
@@ -818,6 +848,7 @@ class TestRulePacks:
             ("citation", "(?:[Ss]ol|SOL)-?(?:QXab|QXcd)"),
             # A member in a repeat sits where its first pass does.
             ("citation", "[0-9](?:[Xx]yz|XYZ)(?:-ab){2,5}"),
+            ("citation", "[0-9]*(?:Kelp|KELP)#"),
         ]
         config = DetectorConfig(rules_dir=write_rules(tmp_path, rules))
         factors = {r: factor for _c, r, _regex, _t, factor in _compiled_rules(config)}
@@ -826,18 +857,24 @@ class TestRulePacks:
             "custom_2": ("anchored", 0), "custom_3": ("factor", UNBOUNDED),
             "custom_4": ("anchored", 2), "custom_5": None, "custom_6": None,
             "custom_7": None, "custom_8": ("anchored", 4), "custom_9": ("anchored", 4),
+            "custom_10": ("factor", UNBOUNDED),
         }
         # After the leading \b, from the first top-level literal on.
         cd = factors["custom_0"][0]
         assert [cd.search(t) is not None for t in ("CD12", "xCD12", "CD123")] == [
             True, True, False
         ]
-        # Each alternative trimmed to start at its first literal.
+        # A branch with a class-led alternative starts no factor, so the
+        # factor starts at the literal after it.
         kelp = factors["custom_3"][0]
-        assert [kelp.search(t).span() for t in ("a Kelp#", "KELP#", "kelp#")] == [
-            (3, 7), (0, 5), (1, 5)
+        assert [kelp.search(t).span() for t in ("a Kelp#", "KELP#", "kelp:#")] == [
+            (6, 7), (4, 5), (5, 6)
         ]
         assert kelp.search("Kelp:") is None
+        # A branch whose alternatives all start with a literal starts one.
+        kelp = factors["custom_10"][0]
+        assert [kelp.search(t).span() for t in ("a Kelp#", "KELP#")] == [(2, 7), (0, 5)]
+        assert kelp.search("kelp#") is None
 
     def test_factored_search_finds_what_finditer_finds(self, tmp_path):
         """The search resumes before each trigger occurrence: past one where
@@ -898,8 +935,7 @@ class TestRulePacks:
                     continue
                 starts.clear()
                 reaches = factor[1]
-                ahead = detectors._occurrences(reaches, text)
-                list(detectors._anchored_matches(Tried(regex), ahead, reaches, text))
+                list(detectors._anchored_matches(Tried(regex), reaches, text))
                 assert max(starts.values(), default=1) == 1, (SEARCH_RULES[i], text)
                 windows = {
                     start
@@ -910,8 +946,7 @@ class TestRulePacks:
                 }
                 assert set(starts) <= windows, (SEARCH_RULES[i], text)
                 short = {member: reach - 1 for member, reach in reaches.items()}
-                ahead = detectors._occurrences(short, text)
-                found = detectors._anchored_matches(regex, ahead, short, text)
+                found = detectors._anchored_matches(regex, short, text)
                 covered[i, "short misses"] += [m.span() for m in found] != want
         # Not vacuous. The rules that end in $, or in \b after a digit,
         # cannot match back to back.
@@ -960,8 +995,7 @@ class TestRulePacks:
                 tried.append(pos)
                 return regex.match(text, pos)
 
-        ahead = detectors._occurrences(factor[1], text)
-        assert list(detectors._anchored_matches(Tried(), ahead, factor[1], text)) == []
+        assert list(detectors._anchored_matches(Tried(), factor[1], text)) == []
         assert tried == [text.index("unding") - 1, text.index("unding")]
         assert runs["funding_lead"] == 2
 
