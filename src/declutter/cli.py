@@ -135,6 +135,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     buckets = length_buckets(outcomes, args.buckets)
     tables.append(("length_buckets", "Length (tokens)", buckets))
 
+    # The report is written first: a report that cannot be written fails
+    # the command before it prints anything.
+    if args.report:
+        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+            for table, _title, rows in tables:
+                for row in rows:
+                    line = {"table": table, **dataclasses.asdict(row)}
+                    fh.write(json.dumps(line, ensure_ascii=False) + "\n")
     print("\n\n".join(_format_report_table(title, rows) for _, title, rows in tables))
     precision, recall, f1 = token_prf(outcomes)
     print()
@@ -142,13 +150,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"token-level micro: precision={precision:.6f} "
         f"recall={recall:.6f} f1={f1:.6f}"
     )
-
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            for table, _title, rows in tables:
-                for row in rows:
-                    line = {"table": table, **dataclasses.asdict(row)}
-                    fh.write(json.dumps(line, ensure_ascii=False) + "\n")
     return 0
 
 
@@ -205,6 +206,10 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
         after = {i: provider.vector(clean_text(texts[i], spans[i])) for i in ids}
 
     delta = rank_references(args.focal, ref_ids, before, after)
+    if args.report:  # written first, as eval's is
+        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(dataclasses.asdict(delta), ensure_ascii=False))
+            fh.write("\n")
     print(f"focal: {delta.focal_id}")
     print("order before: " + ", ".join(delta.order_before))
     print("order after:  " + ", ".join(delta.order_after))
@@ -218,10 +223,6 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
         f"changed: {'yes' if delta.changed else 'no'}, "
         f"top1_changed: {'yes' if delta.top1_changed else 'no'}"
     )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(dataclasses.asdict(delta), ensure_ascii=False))
-            fh.write("\n")
     return 0
 
 

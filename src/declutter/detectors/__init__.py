@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heapreplace
 from importlib import resources
 from pathlib import Path
@@ -229,10 +229,12 @@ def _trigger(sets: list[dict[str, int]]) -> dict[str, int]:
     return min(candidates, key=lambda c: len(c) / min(map(len, c)), default={})
 
 
-def _factor(tree, trigger: dict[str, int]) -> tuple | None:
-    """How the rule's search skips ahead, cut from the parsed ``tree``: its
-    necessary factor and the factor's reach; ``(None, trigger)`` to search
-    from ``trigger``, the map from each member to its reach; or ``None``.
+def _search(tree, trigger: dict[str, int], regex: re.Pattern):
+    """The rule's one search, chosen from the parsed ``tree``: a callable
+    that takes a text and yields the matches ``regex.finditer`` yields. It
+    is ``_factored_matches`` over the rule's necessary factor and the
+    factor's reach; ``_anchored_matches`` over ``trigger``, the map from
+    each member to its reach; or ``regex.finditer`` itself.
 
     The factor is the parse tree from the first top-level node that is a
     ``LITERAL``, or a ``BRANCH`` each of whose alternatives starts with one,
@@ -250,22 +252,22 @@ def _factor(tree, trigger: dict[str, int]) -> tuple | None:
     characters, trying each place that holds one. So when a branch with a
     top-level literal in every alternative comes before the first top-level
     literal, and every member of ``trigger`` has a bounded reach, the rule
-    is searched from its trigger instead, ``(None, trigger)``.
-    ``heading_embedded`` and ``doi_ref`` keep their factors, as their
-    triggers follow a ``[ \\t]*``. A factor led by a literal stays: sre
-    skips ahead by that literal, and past a factor match where the rule
-    fails its search goes on without a call per start.
+    is searched from its trigger instead. ``heading_embedded`` and
+    ``doi_ref`` keep their factors, as their triggers follow a ``[ \\t]*``.
+    A factor led by a literal stays: sre skips ahead by that literal, and
+    past a factor match where the rule fails its search goes on without a
+    call per start.
 
-    ``None`` where sre already skips on its own: a pattern led by a literal,
-    by a branch whose alternatives all start with one, or by ``^`` or
-    ``\\A`` (it is tried at the start only); and where no node qualifies.
+    ``regex.finditer`` where sre already skips on its own: a pattern led by
+    a literal, by a branch whose alternatives all start with one, or by
+    ``^`` or ``\\A`` (it is tried at the start only); and where no node
+    qualifies.
     """
     data, state = tree.data, tree.state
-    reach = max(trigger.values(), default=_UNBOUNDED)
     if data and data[0][0].name == "AT" and data[0][1].name in (
         "AT_BEGINNING", "AT_BEGINNING_STRING"
     ):
-        return None
+        return regex.finditer
     for i, (op, av) in enumerate(data):
         if op.name == "BRANCH":
             firsts = [
@@ -275,18 +277,18 @@ def _factor(tree, trigger: dict[str, int]) -> tuple | None:
             if None in firsts:
                 continue
             if i == 0 and not any(firsts):
-                return None
-            if reach < _UNBOUNDED:
-                return None, trigger
+                break
+            if max(trigger.values(), default=_UNBOUNDED) < _UNBOUNDED:
+                return partial(_anchored_matches, regex, trigger)
             if any(firsts):
                 continue
         elif op.name != "LITERAL":
             continue
         elif i == 0:
-            return None
-        factor = _sre_parse.SubPattern(state, data[i:])
-        return _sre_compile.compile(factor), _width(state, data[:i])
-    return None
+            break
+        factor = _sre_compile.compile(_sre_parse.SubPattern(state, data[i:]))
+        return partial(_factored_matches, regex, factor, _width(state, data[:i]))
+    return regex.finditer
 
 
 def _factored_matches(regex: re.Pattern, factor: re.Pattern, reach: int, text: str):
@@ -351,7 +353,7 @@ def _anchored_matches(regex: re.Pattern, reaches: dict[str, int], text: str):
 
 def _compile_rule(pattern: str, where: str) -> tuple:
     """Parse ``pattern`` once, check it, and compile it along with its
-    prescreen trigger and factor, derived from the same parse tree.
+    prescreen trigger and its search, derived from the same parse tree.
 
     Inline flags are rejected, so no rule turns on IGNORECASE and a
     ``LITERAL`` node matches exactly its own code point: the trigger has a
@@ -370,7 +372,8 @@ def _compile_rule(pattern: str, where: str) -> tuple:
     if tree.state.flags != re.UNICODE:
         raise _not_allowed(where, "inline flags")
     trigger = _trigger(_literal_sets(tree, where))
-    return _sre_compile.compile(tree), tuple(trigger), _factor(tree, trigger)
+    regex = _sre_compile.compile(tree)
+    return regex, tuple(trigger), _search(tree, trigger, regex)
 
 
 def _parse_pack(lines: Iterable[str], where: str, first_at: dict[str, str]) -> list[tuple]:
@@ -428,14 +431,12 @@ def _load_rules(rules_dir: str | None) -> list[tuple]:
 
 @lru_cache(maxsize=16)
 def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
-    """``(category, rule_id, regex, trigger, factor)`` of every loaded rule
+    """``(category, rule_id, regex, trigger, search)`` of every loaded rule
     of an enabled category, in registry order, pack order within a category.
-    ``trigger`` is a tuple of literal strings. ``factor`` picks the rule's
-    one search path in ``detect``: ``None`` for ``finditer``; a pair of a
-    compiled factor and its reach for ``_factored_matches``; or
-    ``(None, reaches)``, a map from each trigger member to its reach, for
-    ``_anchored_matches``, which tries the regex in a window per occurrence.
-    Every rule runs only on a text that ``_passes`` its trigger.
+    ``trigger`` is a tuple of literal strings. ``search`` is the one search
+    ``_search`` chose for the rule: called with a text, it yields the
+    matches ``regex.finditer`` would. Every rule runs only on a text that
+    ``_passes`` its trigger.
 
     Every rule is compiled, enabled or not, so a bad pack fails any config."""
     rules = _load_rules(config.rules_dir)
@@ -457,23 +458,25 @@ _ABBREVIATIONS = frozenset(
 _CANDIDATE_END = re.compile(r"[.!?](?!\S)\s*")
 _LEADING_SPACE = re.compile(r"\s*")
 
-_Boundaries = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
-
-def _sentence_boundaries(text: str) -> _Boundaries:
-    """Every sentence end of ``text``, found in one pass: ``(strict,
-    lenient)``, two sorted lists of ``(terminator offset, end of the
-    whitespace after it)``.
+def _widener(text: str):
+    """Find every sentence end of ``text`` in one pass, and return
+    ``widen(start, end)``, which widens [start, end) to its enclosing
+    sentence, absorbing the trailing terminator and whitespace so the
+    removal splices cleanly.
 
     Boundary detection is deliberately asymmetric: scanning backward, a lone
     capital before a period counts as a sentence end so a preceding content
     sentence ("... vitamin X.") is never swallowed; scanning forward it is
     read as a name initial so a whole statement ("© 2020 John A. Smith. All
     rights reserved.") is still removed in one piece. Each direction errs on
-    the side that does the least damage. ``strict`` serves the backward
-    scan and opens with the start of the text, at offset -1; ``lenient``, a
-    subset of it, serves the forward scan and closes with the end, at
-    ``len(text)``.
+    the side that does the least damage. Each end is held as ``(terminator
+    offset, end of the whitespace after it)``. ``strict`` serves the
+    backward scan and opens with the start of the text, at offset -1;
+    ``lenient``, a subset of it, serves the forward scan and closes with the
+    end, at ``len(text)``. A span widens from the last strict end before
+    ``start`` (and the whitespace after it, up to ``start``) through the
+    first lenient end at or after ``end - 1`` and the whitespace after that.
     """
     strict = [(-1, _LEADING_SPACE.match(text).end())]
     lenient = []
@@ -494,19 +497,12 @@ def _sentence_boundaries(text: str) -> _Boundaries:
         strict.append(boundary)
         lenient.append(boundary)
     lenient.append((len(text), len(text)))
-    return strict, lenient
 
+    def widen(start: int, end: int) -> tuple[int, int]:
+        s = min(strict[bisect_left(strict, (start,)) - 1][1], start)
+        return s, lenient[bisect_left(lenient, (max(end - 1, 0),))][1]
 
-def _sentence_bounds(bounds: _Boundaries, start: int, end: int) -> tuple[int, int]:
-    """Widen [start, end) to the enclosing sentence of the text ``bounds``
-    came from, absorbing the trailing terminator and whitespace so the
-    removal splices cleanly: from the last strict end before ``start`` (and
-    the whitespace after it, up to ``start``) through the first lenient end
-    at or after ``end - 1`` and the whitespace after that."""
-    strict, lenient = bounds
-    s = min(strict[bisect_left(strict, (start,)) - 1][1], start)
-    e = lenient[bisect_left(lenient, (max(end - 1, 0),))][1]
-    return s, e
+    return widen
 
 
 def _passes(trigger: tuple[str, ...], text: str) -> bool:
@@ -522,35 +518,35 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     """Run every enabled category's rules over ``text``.
 
     Returns all raw matches (overlaps across rules are allowed) ordered by
-    start offset, then category registry order. Purely a function of its
+    start offset, then category registry order. Matches of one rule that
+    widen to the same span give one detection. Purely a function of its
     arguments: same text and config, same detections.
+
+    Each rule's matches come in order and do not overlap, and widening
+    never moves a later match's start or end before an earlier one's, so
+    the spans one rule widens to the same sentence come one after another:
+    each is compared only with the one its rule added last.
     """
     if config is None:
         config = _DEFAULT_CONFIG
     detections: list[Detection] = []
-    seen: set[tuple] = set()
-    bounds = None
-    for category, rule_id, regex, trigger, factor in _compiled_rules(config):
+    widen = None
+    for category, rule_id, _regex, trigger, search in _compiled_rules(config):
         if not _passes(trigger, text):
             continue
-        if factor is None:
-            matches = regex.finditer(text)
-        elif factor[0] is not None:
-            matches = _factored_matches(regex, *factor, text)
-        else:
-            matches = _anchored_matches(regex, factor[1], text)
-        for m in matches:
+        scoped = category in SENTENCE_SCOPED
+        last = None
+        for m in search(text):
             s, e = m.span()
             if s == e:
                 continue
-            if category in SENTENCE_SCOPED:
-                if bounds is None:
-                    bounds = _sentence_boundaries(text)
-                s, e = _sentence_bounds(bounds, s, e)
-            key = (s, e, category, rule_id)
-            if key in seen:
-                continue
-            seen.add(key)
+            if scoped:
+                if widen is None:
+                    widen = _widener(text)
+                s, e = widen(s, e)
+                if (s, e) == last:
+                    continue
+                last = s, e
             detections.append(Detection(Span(s, e, category), rule_id))
     detections.sort(
         key=lambda d: (d.span.start, _CATEGORY_INDEX[d.span.label], d.span.end, d.rule_id)

@@ -401,6 +401,22 @@ class TestEval:
         # token lengths are 4, 3 and 3
         assert [(r["group_key"], r["count"]) for r in buckets] == [("3-3", 2), ("4-4", 1)]
 
+    def test_unwritable_report_fails_before_printing(self, write_jsonl, tmp_path, capsys):
+        """A report under a missing directory fails the command before any
+        table is printed, as clean fails before it prints its counts."""
+        gold = self._gold(write_jsonl)
+        pred = write_jsonl([], name="pred.jsonl")
+        report = tmp_path / "nodir" / "r.jsonl"
+        rc, out, err = run(capsys, "eval", "--gold", gold, "--pred", pred, "--report", str(report))
+        assert (rc, out) == (1, "")
+        assert err.endswith(f"No such file or directory: {str(report)!r}\n")
+
+    def test_zero_buckets_rejected(self, write_jsonl, capsys):
+        gold = self._gold(write_jsonl)
+        pred = write_jsonl([], name="pred.jsonl")
+        rc, out, err = run(capsys, "eval", "--gold", gold, "--pred", pred, "--buckets", "0")
+        assert (rc, out, err) == (1, "", "error: --buckets must be >= 1\n")
+
     def test_tokenizes_each_gold_record_once(self, write_jsonl, capsys, monkeypatch):
         calls = []
 
@@ -462,6 +478,16 @@ class TestRankCompare:
         assert payload["displacement"] == 2
         assert payload["focal_id"] == "f"
         assert set(payload) == {f.name for f in dataclasses.fields(RankingDelta)}
+
+    def test_unwritable_report_fails_before_printing(self, write_jsonl, tmp_path, capsys):
+        corpus = self._corpus(write_jsonl)
+        report = tmp_path / "nodir" / "x.json"
+        rc, out, err = run(
+            capsys, "rank-compare", "--input", corpus, "--focal", "f",
+            "--refs", "a,b,c", "--dim", "8", "--report", str(report),
+        )
+        assert (rc, out) == (1, "")
+        assert err.endswith(f"No such file or directory: {str(report)!r}\n")
 
     def test_detectors_disabled_changes_nothing(self, write_jsonl, capsys):
         corpus = self._corpus(write_jsonl)

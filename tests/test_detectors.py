@@ -2,6 +2,7 @@ import random
 import re
 import time
 from collections import Counter
+from functools import partial
 from importlib import resources
 
 import pytest
@@ -10,6 +11,8 @@ from declutter import detectors
 from declutter.corpus import load_corpus
 from declutter.detectors import (
     CATEGORY_REGISTRY,
+    SENTENCE_SCOPED,
+    Detection,
     DetectorConfig,
     _compiled_rules,
     detect,
@@ -125,13 +128,13 @@ BUILTIN_SEARCHES = {
 }
 
 
-def search_of(factor):
+def search_of(search):
     """A rule's search as the tables here pin it."""
-    if factor is None:
+    if not isinstance(search, partial):
         return None
-    if factor[0] is None:
-        return ("anchored", max(factor[1].values()))
-    return ("factor", min(factor[1], UNBOUNDED))
+    if search.func is detectors._anchored_matches:
+        return ("anchored", max(search.args[1].values()))
+    return ("factor", min(search.args[2], UNBOUNDED))
 
 
 # Text pieces for the prescreen differential test: a match of every built-in
@@ -313,6 +316,38 @@ def scanning_sentence_bounds(text, start, end):
     return s, e
 
 
+def reference_detect(text, rules):
+    """``detect`` as its contract states it, sharing no code with its loop:
+    the non-empty ``finditer`` matches of each of ``rules``, as
+    ``_compiled_rules`` gives them, widened by the scanning oracle, kept
+    once each by a set and sorted. Returns the detections and how many
+    repeats the set dropped."""
+    seen = set()
+    dropped = 0
+    for category, rule_id, regex, _trigger, _search in rules:
+        for m in regex.finditer(text):
+            s, e = m.span()
+            if s == e:
+                continue
+            if category in SENTENCE_SCOPED:
+                s, e = scanning_sentence_bounds(text, s, e)
+            dropped += (s, e, category, rule_id) in seen
+            seen.add((s, e, category, rule_id))
+    order = sorted(seen, key=lambda k: (k[0], CATEGORY_REGISTRY.index(k[2]), k[1], k[3]))
+    return [Detection(Span(s, e, c), r) for s, e, c, r in order], dropped
+
+
+# Sentence-scoped custom rules that match several times in one sentence,
+# one per search: finditer, a factor after \b, a search from the trigger's
+# members, and finditer again, led by a branch.
+REPEATING_RULES = (
+    ("copyright", "zz[0-9]"),
+    ("funding", r"\bkk[0-9]"),
+    ("order_info", "[a-z](?:[Qq]x|QX)"),
+    ("translation", "(?:ab|cd)!"),
+)
+REPEATING_PIECES = ("zz1", "zz2 zz3", "kk1", "kk2kk3", "aqx", "bQX cqx", "ab!", "cd!ab!")
+
 # Pieces for the widening differential test: abbreviations, lone and
 # chained initials, terminators and Unicode whitespace.
 WIDENING_PIECES = (
@@ -356,10 +391,18 @@ def detect_counting_runs(monkeypatch, texts, configs):
         runs.update(ran)
         return detections
 
+    def recount(rule_id, regex, trigger, search):
+        """The rule, its search rebuilt around its counting regex."""
+        counted = Counted(rule_id, regex)
+        if isinstance(search, partial):
+            search = partial(search.func, counted, *search.args[1:])
+        else:
+            search = counted.finditer
+        return counted, trigger, search
+
     counted = {
         config: tuple(
-            (category, r, Counted(r, regex), t, f)
-            for category, r, regex, t, f in real(config)
+            (category, r, *recount(r, regex, t, f)) for category, r, regex, t, f in real(config)
         )
         for config in configs
     }
@@ -537,18 +580,50 @@ class TestSentenceWidening:
             n = len(text)
             if n == 0:
                 continue
-            bounds = detectors._sentence_boundaries(text)
+            widen = detectors._widener(text)
             pairs = {(0, 1), (0, n), (n - 1, n)}
             for _ in range(12):
                 start = rng.randrange(n)
                 pairs.add((start, rng.randint(start + 1, n)))
             for start, end in pairs:
-                got = detectors._sentence_bounds(bounds, start, end)
+                got = widen(start, end)
                 assert got == scanning_sentence_bounds(text, start, end), (
                     text, start, end
                 )
                 checked += 1
         assert checked > 15000
+
+    def test_detect_matches_reference(self, golden_path, tmp_path):
+        """Seeded differential test of the whole loop: detect equals
+        reference_detect, which widens each match by scanning and drops
+        repeats with a set, under the built-in packs and under a pack of
+        sentence-scoped rules that match several times per sentence. It
+        pins that the repeats one rule widens to one span come one after
+        another, so detect compares each only with the last."""
+        rng = random.Random(20261020)
+        repeating = DetectorConfig(rules_dir=write_rules(tmp_path, REPEATING_RULES))
+        # In registry order: copyright, order_info, translation, funding.
+        assert [search_of(rule[4]) for rule in _compiled_rules(repeating)] == [
+            None, ("anchored", 2), None, ("factor", 0)
+        ]
+        sentences = [
+            sentence for r in load_corpus(str(golden_path)) for sentence in r.text.split(". ")
+        ]
+        pools = (RULE_FRAGMENTS, WIDENING_PIECES, sentences, REPEATING_PIECES)
+        dropped = Counter()
+        for _ in range(2000):
+            pieces = []
+            for _ in range(rng.randint(1, 10)):
+                pieces.append(rng.choice(rng.choice(pools)))
+                pieces.append(rng.choice(WIDENING_SPACES))
+            text = "".join(pieces)
+            for config in (DetectorConfig(), repeating):
+                want, repeats = reference_detect(text, _compiled_rules(config))
+                assert detect(text, config) == want, text
+                dropped[config] += repeats
+        # Not vacuous: under both packs, some match widened to a span its
+        # rule had already given.
+        assert dropped[DetectorConfig()] >= 20 and dropped[repeating] >= 20, dropped
 
     def test_long_text_without_terminator_is_linear(self):
         """400 copyright signs in 100k characters and no sentence end: every
@@ -768,8 +843,9 @@ class TestRulePacks:
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(detectors, "_trigger", lambda sets: {})
-                # Anchoring is chosen in _factor, so this stubs it off too.
-                patch.setattr(detectors, "_factor", lambda tree, reach: None)
+                # Every search is chosen in _search, so this stubs off
+                # factors and anchoring alike.
+                patch.setattr(detectors, "_search", lambda tree, trigger, regex: regex.finditer)
                 oracle, oracle_runs = detect_counting_runs(monkeypatch, texts, configs)
         finally:
             _compiled_rules.cache_clear()
@@ -782,26 +858,29 @@ class TestRulePacks:
         # so searched met a member on a text it does not match; and every
         # category detected something.
         for config in configs:
-            for _category, rule_id, _regex, _trigger, _factor in _compiled_rules(config):
+            for _category, rule_id, _regex, _trigger, _search in _compiled_rules(config):
                 assert runs[rule_id] < oracle_runs[rule_id], rule_id
         custom = [r for r in _compiled_rules(configs[1]) if r[1].startswith("custom_")]
+        kinds = {
+            rule_id: (search_of(search) or ("finditer",))[0]
+            for _c, rule_id, _x, _t, search in custom
+        }
         factor_skips = Counter(
             rule_id
-            for _category, rule_id, _regex, trigger, factor in custom
-            if factor is not None and factor[0] is not None
+            for _category, rule_id, _regex, trigger, search in custom
+            if kinds[rule_id] == "factor"
             for text in texts
-            if detectors._passes(trigger, text) and factor[0].search(text) is None
+            if detectors._passes(trigger, text) and search.args[1].search(text) is None
         )
+        anchored = {rule_id for rule_id, kind in kinds.items() if kind == "anchored"}
         anchor_misses = Counter(
             rule_id
-            for _category, rule_id, regex, trigger, factor in custom
-            if factor is not None and factor[0] is None
+            for _category, rule_id, regex, trigger, _search in custom
+            if rule_id in anchored
             for text in texts
             if detectors._passes(trigger, text) and regex.search(text) is None
         )
-        assert set(anchor_misses) == {
-            rule_id for _c, rule_id, _x, _t, f in custom if f is not None and f[0] is None
-        }, anchor_misses
+        assert set(anchor_misses) == anchored, anchor_misses
         led_by_boundary = {
             f"custom_{i}" for i, (_c, pattern) in enumerate(CUSTOM_RULES) if "\\b" in pattern
         }
@@ -831,7 +910,7 @@ class TestRulePacks:
         each built-in rule searches and how far it reaches, and check on
         custom rules where the factor starts."""
         rules = _compiled_rules(DetectorConfig())
-        assert {r: search_of(factor) for _c, r, _x, _t, factor in rules} == BUILTIN_SEARCHES
+        assert {r: search_of(search) for _c, r, _x, _t, search in rules} == BUILTIN_SEARCHES
         rules = [
             ("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),
             ("citation", r"(?:[Qq]uill|QUILL)[ \t]*;"),
@@ -851,8 +930,8 @@ class TestRulePacks:
             ("citation", "[0-9]*(?:Kelp|KELP)#"),
         ]
         config = DetectorConfig(rules_dir=write_rules(tmp_path, rules))
-        factors = {r: factor for _c, r, _regex, _t, factor in _compiled_rules(config)}
-        assert {r: search_of(f) for r, f in factors.items()} == {
+        searches = {r: search for _c, r, _regex, _t, search in _compiled_rules(config)}
+        assert {r: search_of(f) for r, f in searches.items()} == {
             "custom_0": ("factor", UNBOUNDED), "custom_1": ("anchored", 1),
             "custom_2": ("anchored", 0), "custom_3": ("factor", UNBOUNDED),
             "custom_4": ("anchored", 2), "custom_5": None, "custom_6": None,
@@ -860,19 +939,19 @@ class TestRulePacks:
             "custom_10": ("factor", UNBOUNDED),
         }
         # After the leading \b, from the first top-level literal on.
-        cd = factors["custom_0"][0]
+        cd = searches["custom_0"].args[1]
         assert [cd.search(t) is not None for t in ("CD12", "xCD12", "CD123")] == [
             True, True, False
         ]
         # A branch with a class-led alternative starts no factor, so the
         # factor starts at the literal after it.
-        kelp = factors["custom_3"][0]
+        kelp = searches["custom_3"].args[1]
         assert [kelp.search(t).span() for t in ("a Kelp#", "KELP#", "kelp:#")] == [
             (6, 7), (4, 5), (5, 6)
         ]
         assert kelp.search("Kelp:") is None
         # A branch whose alternatives all start with a literal starts one.
-        kelp = factors["custom_10"][0]
+        kelp = searches["custom_10"].args[1]
         assert [kelp.search(t).span() for t in ("a Kelp#", "KELP#")] == [(2, 7), (0, 5)]
         assert kelp.search("kelp#") is None
 
@@ -890,8 +969,9 @@ class TestRulePacks:
         pattern = "[A-Z](?:[Oo]pal|OPAL)!"
         rules_dir = write_rules(tmp_path / "one", [("citation", pattern)])
         config = DetectorConfig(rules_dir=rules_dir)
-        [(*_, factor)] = _compiled_rules(config)
-        assert factor == (None, {"OPAL": 1, "pal": 2})
+        [(*_, regex, _trigger, search)] = _compiled_rules(config)
+        assert search.func is detectors._anchored_matches
+        assert search.args == (regex, {"OPAL": 1, "pal": 2})
         text = "xopal! Mopal!NOPAL! opal! Zopal!"
         spans = [(d.span.start, d.span.end) for d in detect(text, config)]
         assert spans == [m.span() for m in re.finditer(pattern, text)] == [
@@ -904,9 +984,10 @@ class TestRulePacks:
             for i, rule in enumerate(SEARCH_RULES)
         ]
         rules = [_compiled_rules(config)[0] for config in configs]
-        anchored = [i for i, rule in enumerate(rules) if rule[4] and rule[4][0] is None]
+        kinds = [search_of(rule[4]) for rule in rules]
+        anchored = [i for i, kind in enumerate(kinds) if kind and kind[0] == "anchored"]
         assert anchored == [0, 1, 2, 3, 4, 5, 6]
-        assert {max(rules[i][4][1].values()) for i in anchored} >= {0, 41}
+        assert {kinds[i][1] for i in anchored} >= {0, 41}
         texts = [
             "".join(rng.choice(SEARCH_PIECES) for _ in range(rng.randint(1, 14)))
             for _ in range(3000)
@@ -922,7 +1003,7 @@ class TestRulePacks:
                 return self.regex.match(text, pos)
 
         covered = Counter()
-        for i, (config, (*_, regex, trigger, factor)) in enumerate(zip(configs, rules)):
+        for i, (config, (*_, regex, trigger, search)) in enumerate(zip(configs, rules)):
             for text in texts:
                 want = [m.span() for m in regex.finditer(text) if m.end() > m.start()]
                 got = [(d.span.start, d.span.end) for d in detect(text, config)]
@@ -934,7 +1015,7 @@ class TestRulePacks:
                 if i not in anchored:
                     continue
                 starts.clear()
-                reaches = factor[1]
+                reaches = search.args[1]
                 list(detectors._anchored_matches(Tried(regex), reaches, text))
                 assert max(starts.values(), default=1) == 1, (SEARCH_RULES[i], text)
                 windows = {
@@ -985,7 +1066,7 @@ class TestRulePacks:
         assert runs["copyright_word"] == 1
         # funding_lead (reach 1) is tried at the two starts that reach the
         # "unding" of "funding rates", and nowhere else.
-        [(_c, _r, regex, trigger, factor)] = [
+        [(_c, _r, regex, _trigger, search)] = [
             rule for rule in _compiled_rules(DetectorConfig()) if rule[1] == "funding_lead"
         ]
         tried = []
@@ -995,7 +1076,7 @@ class TestRulePacks:
                 tried.append(pos)
                 return regex.match(text, pos)
 
-        assert list(detectors._anchored_matches(Tried(), factor[1], text)) == []
+        assert list(detectors._anchored_matches(Tried(), search.args[1], text)) == []
         assert tried == [text.index("unding") - 1, text.index("unding")]
         assert runs["funding_lead"] == 2
 
@@ -1024,8 +1105,8 @@ class TestRulePacks:
             enabled_categories=("citation",),
             rules_dir=write_rules(tmp_path, rules, builtins=True),
         )
-        [*_, (_category, rule_id, _regex, trigger, factor)] = _compiled_rules(config)
-        assert (rule_id, trigger, factor) == ("custom_0", (), None)
+        [*_, (_category, rule_id, regex, trigger, search)] = _compiled_rules(config)
+        assert (rule_id, trigger, search) == ("custom_0", (), regex.finditer)
         detections = detect("Indexed under PMID 123 and pmid 456.", config)
         assert [(d.span.start, d.span.end) for d in detections] == [(14, 18), (27, 31)]
 
