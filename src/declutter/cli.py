@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from collections import Counter
+from itertools import chain, islice
 
-from .corpus import CorpusStats, LabeledAbstract, compute_stats, iter_records
+from .corpus import CorpusStats, compute_stats, iter_checked, iter_records
 from .corpus import load_corpus, save_corpus
 from .detectors import CATEGORY_REGISTRY, DetectorConfig, detect, to_rem_spans
 from .embedding import (
@@ -36,6 +38,10 @@ from .evaluation import (
 # declutter.cli.filter_spans and declutter.cli.tokenize.
 from .textspan import clean_text, filter_spans, tokenize  # noqa: F401
 
+# Every JSON line the commands write; json.dumps with ensure_ascii=False
+# builds a new encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     raw = args.categories
@@ -53,24 +59,41 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
 
 
 def cmd_clean(args: argparse.Namespace) -> int:
-    records = load_corpus(args.input, schema="predictions")
     config = _detector_config(args)
+    # The output is written while the input is read, so writing over the
+    # input would truncate it before it is read.
+    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        raise DeclutterError(
+            f"--output {args.output} is the --input file; clean does not write in place"
+        )
     counts: Counter[str] = Counter()
-    for i, record in enumerate(records):
-        applied = to_rem_spans(detect(record.text, config))
-        cleaned = clean_text(record.text, applied)
-        if not applied and cleaned == record.text:
-            # A no-op pass keeps the record verbatim, including whatever its
-            # spans field already documented; re-cleaning is idempotent.
-            continue
-        counts.update(span.label for span in applied)
-        records[i] = LabeledAbstract(record.id, cleaned, tuple(applied), record.meta)
-    save_corpus(records, args.output)
+    total = 0
+
+    def cleaned_lines():
+        nonlocal total
+        for line, obj, (_, text, _, _) in iter_checked(args.input, "predictions"):
+            total += 1
+            applied = to_rem_spans(detect(text, config))
+            cleaned = clean_text(text, applied)
+            if not applied and cleaned == text:
+                # A no-op pass keeps the record's line as it was read,
+                # including whatever its spans field already documented.
+                yield line.removesuffix("\n")
+                continue
+            counts.update(span.label for span in applied)
+            spans = [{"start": s.start, "end": s.end, "label": s.label} for s in applied]
+            yield _encode({**obj, "text": cleaned, "spans": spans})
+
+    lines = cleaned_lines()
+    # The first record is read before the output is created, so an input
+    # that cannot be opened or read leaves an existing output alone.
+    first = list(islice(lines, 1))
+    save_corpus(chain(first, lines), args.output)
     print("removals by category:")
     for category in CATEGORY_REGISTRY:
         if category in config.enabled_categories:
             print(f"  {category}: {counts.get(category, 0)}")
-    print(f"cleaned {len(records)} records -> {args.output}")
+    print(f"cleaned {total} records -> {args.output}")
     return 0
 
 
@@ -142,7 +165,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             for table, _title, rows in tables:
                 for row in rows:
                     line = {"table": table, **dataclasses.asdict(row)}
-                    fh.write(json.dumps(line, ensure_ascii=False) + "\n")
+                    fh.write(_encode(line) + "\n")
     print("\n\n".join(_format_report_table(title, rows) for _, title, rows in tables))
     precision, recall, f1 = token_prf(outcomes)
     print()
@@ -208,7 +231,7 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
     delta = rank_references(args.focal, ref_ids, before, after)
     if args.report:  # written first, as eval's is
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(dataclasses.asdict(delta), ensure_ascii=False))
+            fh.write(_encode(dataclasses.asdict(delta)))
             fh.write("\n")
     print(f"focal: {delta.focal_id}")
     print("order before: " + ", ".join(delta.order_before))

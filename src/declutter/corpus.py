@@ -16,9 +16,11 @@ into ``text``. Two schemas are supported:
   spans are resolved with :func:`declutter.textspan.filter_spans` and bounds
   are not checked here (they are checked when joined with their text).
 
-:func:`iter_records` is the one reader that checks records: it yields each
-record's checked fields as a plain tuple, so a caller that keeps one field
-builds no record. :func:`load_corpus` is the list of records it yields.
+:func:`iter_checked` is the one reader that checks records: it yields each
+record's input line and JSON object beside its checked fields, so ``clean``
+can copy an untouched record as it was read. :func:`iter_records` yields the
+fields alone, as a plain tuple, so a caller that keeps one field builds no
+record, and :func:`load_corpus` is the list of records built from them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -97,11 +100,12 @@ def _parse_meta(raw: object) -> dict:
 
 def iter_jsonl(
     path: str, error: type[DeclutterError]
-) -> Iterator[tuple[int, object]]:
-    """Yield ``(line_number, obj)`` for each non-blank line of a JSON Lines
-    file. A line that is not UTF-8, not JSON, or holds a lone surrogate
-    escape (``"\\ud800"``, which no UTF-8 output can hold) raises ``error``
-    naming it as ``"{path}:{line}"``.
+) -> Iterator[tuple[int, str, object]]:
+    """Yield ``(line_number, line, obj)`` for each non-blank line of a JSON
+    Lines file, ``line`` as text-mode reading gives it, terminator included.
+    A line that is not UTF-8, not JSON, or holds a lone surrogate escape
+    (``"\\ud800"``, which no UTF-8 output can hold) raises ``error`` naming
+    it as ``"{path}:{line}"``.
 
     A line that is one JSON value followed by JSON whitespace costs one call
     of the decoder's scanner, which json.loads would make at the same place
@@ -135,7 +139,7 @@ def iter_jsonl(
                         raise error(
                             f"{path}:{lineno}: lone surrogate U+{code:04X}"
                         ) from None
-                yield lineno, obj
+                yield lineno, line, obj
         except UnicodeDecodeError:
             raise utf8_error(path, Path(path), error) from None
 
@@ -154,11 +158,13 @@ def utf8_error(where: str, file, error: type[DeclutterError]) -> DeclutterError:
     return error(f"{where}: not UTF-8")
 
 
-def iter_records(
+def iter_checked(
     path: str, schema: str = "gold"
-) -> Iterator[tuple[str, str, tuple[Span, ...], dict]]:
-    """Yield ``(id, text, spans, meta)`` for each record of a JSONL corpus,
-    in file order, checked against the invariants of ``schema``.
+) -> Iterator[tuple[str, dict, tuple[str, str, tuple[Span, ...], dict]]]:
+    """Yield ``(line, obj, (id, text, spans, meta))`` for each record of a
+    JSONL corpus, in file order: its line as :func:`iter_jsonl` read it, its
+    JSON object, and its fields checked against the invariants of
+    ``schema``.
 
     A malformed line or an invariant violation (out-of-bounds span,
     overlapping gold spans, duplicate id) raises :class:`CorpusError` naming
@@ -166,7 +172,7 @@ def iter_records(
     if schema not in _SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; expected one of {_SCHEMAS}")
     seen: set[str] = set()
-    for lineno, obj in iter_jsonl(path, CorpusError):
+    for lineno, line, obj in iter_jsonl(path, CorpusError):
         try:
             if not isinstance(obj, dict):
                 raise CorpusError("record must be a JSON object")
@@ -193,7 +199,15 @@ def iter_records(
         except CorpusError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
         seen.add(rec_id)
-        yield rec_id, text, tuple(spans), meta
+        yield line, obj, (rec_id, text, tuple(spans), meta)
+
+
+def iter_records(
+    path: str, schema: str = "gold"
+) -> Iterator[tuple[str, str, tuple[Span, ...], dict]]:
+    """The ``(id, text, spans, meta)`` of each record :func:`iter_checked`
+    yields, with its checks and its errors."""
+    return map(itemgetter(2), iter_checked(path, schema))
 
 
 def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:
@@ -215,9 +229,11 @@ def _record_to_obj(record: LabeledAbstract) -> dict:
     return obj
 
 
-def save_corpus(records: Iterable[LabeledAbstract], path: str) -> None:
-    """Write records as JSON Lines; loading the file back reproduces them
-    exactly, and re-saving yields byte-identical output.
+def save_corpus(records: Iterable[LabeledAbstract | str], path: str) -> None:
+    """Write records as JSON Lines, one per line. A :class:`LabeledAbstract`
+    is encoded here: loading the file back reproduces it exactly, and
+    re-saving yields byte-identical output. A ``str`` is a record already
+    encoded as one JSON line, without its terminator, and goes out as it is.
 
     If writing fails, the partial output is removed when ``path`` names a
     regular file; anything else (``/dev/stdout``, a pipe, a symlink) is left
@@ -227,15 +243,20 @@ def save_corpus(records: Iterable[LabeledAbstract], path: str) -> None:
     fh = open(path, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            for record in records:
-                line = json.dumps(_record_to_obj(record), ensure_ascii=False)
+            for lineno, record in enumerate(records, start=1):
+                if isinstance(record, str):
+                    line = record
+                else:
+                    line = json.dumps(_record_to_obj(record), ensure_ascii=False)
                 try:
                     fh.write(line)
                 except UnicodeEncodeError as exc:
                     code = ord(exc.object[exc.start])
-                    raise CorpusError(
-                        f"{path}: record {record.id!r}: lone surrogate U+{code:04X}"
-                    ) from None
+                    name = (
+                        f"line {lineno}" if isinstance(record, str)
+                        else f"record {record.id!r}"
+                    )
+                    raise CorpusError(f"{path}: {name}: lone surrogate U+{code:04X}") from None
                 fh.write("\n")
     except BaseException:
         if os.path.isfile(path) and not os.path.islink(path):

@@ -27,7 +27,9 @@ trigger instead, when each member lies at most its own bounded reach after
 the match start: ``str.find`` finds each member's occurrences, and the
 regex is tried only in each occurrence's window, the starts within its
 member's reach before it. Each rule has exactly one of these searches,
-chosen when its pack is loaded.
+chosen when its pack is loaded. A rule led by ``^`` or ``\\A`` has no
+prescreen and plain ``finditer``: sre tries it at the start of the text
+only.
 
 Categories whose clutter is sentence-shaped (copyright, order_info,
 translation, funding) have their raw matches extended to sentence boundaries,
@@ -259,15 +261,10 @@ def _search(tree, trigger: dict[str, int], regex: re.Pattern):
     call per start.
 
     ``regex.finditer`` where sre already skips on its own: a pattern led by
-    a literal, by a branch whose alternatives all start with one, or by
-    ``^`` or ``\\A`` (it is tried at the start only); and where no node
-    qualifies.
+    a literal or by a branch whose alternatives all start with one; and
+    where no node qualifies.
     """
     data, state = tree.data, tree.state
-    if data and data[0][0].name == "AT" and data[0][1].name in (
-        "AT_BEGINNING", "AT_BEGINNING_STRING"
-    ):
-        return regex.finditer
     for i, (op, av) in enumerate(data):
         if op.name == "BRANCH":
             firsts = [
@@ -360,6 +357,10 @@ def _compile_rule(pattern: str, where: str) -> tuple:
     member in every text the regex matches in, and skipping the regex when
     it has none can never drop a detection. The trigger is ``()`` when the
     pattern has no mandatory literal; its reach is then unbounded.
+
+    A pattern led by ``^`` or ``\\A`` gets the empty trigger and
+    ``regex.finditer``: sre tries it at the start of the text only, which
+    costs less than one scan of the text for a trigger or a factor.
     """
     # Besides re.error: a{99999999999} overflows, and thousands of nested
     # groups exhaust the parser's stack.
@@ -371,8 +372,13 @@ def _compile_rule(pattern: str, where: str) -> tuple:
         raise _not_allowed(where, "named group")
     if tree.state.flags != re.UNICODE:
         raise _not_allowed(where, "inline flags")
-    trigger = _trigger(_literal_sets(tree, where))
+    sets = _literal_sets(tree, where)  # checks the pattern, anchored or not
     regex = _sre_compile.compile(tree)
+    if tree.data and tree.data[0][0].name == "AT" and tree.data[0][1].name in (
+        "AT_BEGINNING", "AT_BEGINNING_STRING"
+    ):
+        return regex, (), regex.finditer
+    trigger = _trigger(sets)
     return regex, tuple(trigger), _search(tree, trigger, regex)
 
 

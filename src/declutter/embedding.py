@@ -128,7 +128,7 @@ class ExternalVectorProvider:
     def load(cls, path: str) -> "ExternalVectorProvider":
         vectors: dict[str, tuple[float, ...]] = {}
         first_line = dimension = 0  # of the first vector
-        for lineno, obj in iter_jsonl(path, EmbeddingError):
+        for lineno, _line, obj in iter_jsonl(path, EmbeddingError):
             where = f"{path}:{lineno}"
             if not isinstance(obj, dict):
                 raise EmbeddingError(f"{where}: record must be a JSON object")

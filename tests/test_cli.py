@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -122,30 +124,74 @@ class TestClean:
         assert "© 2020 X" not in record.text
 
     def test_meta_passes_through(self, write_jsonl, tmp_path, capsys):
-        """Every meta key, value and key order comes out as it went in, on a
-        record cleaned and on one left untouched, and re-cleaning gives the
-        same bytes. (Unknown top-level fields, such as this ``doi``, are
-        still dropped.)"""
+        """Every field comes out as it went in. A cleaned record is its input
+        object with only ``text`` and ``spans`` replaced: unknown top-level
+        fields, such as ``doi``, and every meta key, value and key order stay
+        in place. An untouched record is its input line, ``"meta": {}`` and
+        ``"meta": null`` included. Re-cleaning gives the same bytes."""
         metas = [
             {"year": 2020, "journal": "J"},
             {"source": "s", "doi": "10.1/x", "fields": [], "year": None, "journal": "J"},
         ]
-        path = write_jsonl([
+        objs = [
             {"id": "a", "text": "Plain text.", "spans": [], "doi": "10.1/x", "meta": metas[0]},
-            {"id": "b", "text": "Plain text. © 2020 X", "spans": [], "meta": metas[0]},
+            {"doi": "10.1/y", "id": "b", "text": "Plain text. © 2020 X", "spans": [],
+             "meta": metas[0], "extra": [1, None]},
             {"id": "c", "text": "Plain text.", "spans": [], "meta": metas[1]},
-            {"id": "d", "text": "Plain text. © 2020 X", "spans": [], "meta": metas[1]},
-        ])
+            {"id": "d", "meta": metas[1], "text": "Plain text. © 2020 X", "spans": []},
+            {"id": "e", "text": "Plain text.", "spans": [], "meta": {}},
+            {"id": "f", "text": "Plain text.", "spans": [], "meta": None},
+            {"id": "g", "text": "Plain text. © 2020 X", "spans": [], "meta": None},
+        ]
+        path = write_jsonl(objs)
         first, second = tmp_path / "o1.jsonl", tmp_path / "o2.jsonl"
         assert run(capsys, "clean", "--input", path, "--output", str(first))[0] == 0
         lines = first.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["spans"] == [] for line in lines] == [
-            True, False, True, False
-        ]
-        for line, meta in zip(lines, [metas[0], metas[0], metas[1], metas[1]]):
-            assert line.endswith(f', "meta": {json.dumps(meta)}}}')
+        inputs = Path(path).read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(objs)
+        for obj, line, input_line in zip(objs, lines, inputs):
+            if "©" not in obj["text"]:
+                assert line == input_line
+                continue
+            got = json.loads(line)
+            assert list(got) == list(obj)
+            assert {**got, "text": obj["text"], "spans": []} == obj
+            assert (got["text"], [s["label"] for s in got["spans"]]) == (
+                "Plain text.", ["copyright"]
+            )
         assert run(capsys, "clean", "--input", str(first), "--output", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_in_place_refused(self, write_jsonl, tmp_path, capsys):
+        """clean writes its output while it reads its input, so an output
+        that is the input file, by its path, a symlink or a hard link, is
+        refused, and the input keeps its bytes."""
+        path = Path(write_jsonl([{"id": "a", "text": "Text. © 2020 X", "spans": []}]))
+        before = path.read_bytes()
+        link, hard = tmp_path / "link.jsonl", tmp_path / "hard.jsonl"
+        link.symlink_to(path)
+        os.link(path, hard)
+        for inp, out in ((path, path), (path, link), (link, path), (path, hard)):
+            rc, stdout, err = run(capsys, "clean", "--input", str(inp), "--output", str(out))
+            assert (rc, stdout) == (1, "")
+            assert err == (
+                f"error: --output {out} is the --input file; clean does not write in place\n"
+            )
+            assert path.read_bytes() == before
+
+    def test_unreadable_input_leaves_existing_output(self, tmp_path, capsys):
+        """The input is opened, and its first record read, before the output
+        is created: a missing input, a directory or a bad first line leaves
+        an existing output as it was."""
+        out = tmp_path / "out.jsonl"
+        out.write_text("keep\n", encoding="utf-8")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "a", "text": 1, "spans": []}\n', encoding="utf-8")
+        for inp in (tmp_path / "missing.jsonl", tmp_path, bad):
+            rc, stdout, err = run(capsys, "clean", "--input", str(inp), "--output", str(out))
+            assert (rc, stdout) == (1, ""), inp
+            assert err.startswith("error: "), err
+            assert out.read_text(encoding="utf-8") == "keep\n"
 
     def test_invalid_rule_pack_fails_on_empty_corpus(self, write_jsonl, tmp_path, capsys):
         rules = tmp_path / "rules"

@@ -17,6 +17,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from declutter.cli import main
 from declutter.corpus import load_corpus
 from declutter.detectors import detect, to_rem_spans
 from declutter.evaluation import score_abstract, token_prf
+from declutter.textspan import Span, clean_text
 
 from conftest import DATA_DIR
 
@@ -178,6 +180,96 @@ def test_clean_permutes_with_its_input(corpus, tmp_path):
         assert run(["clean", "--input", write_lines(tmp_path / "in.jsonl", permuted),
                     "--output", out]) == stdout
         assert out.read_text(encoding="utf-8").splitlines() == [cleaned[i] for i in order]
+
+
+def load_all_clean(path):
+    """``clean`` as it was written before it streamed, as the oracle: load
+    the corpus, then detect and clean each text. Per record, ``None`` when
+    the pass leaves it untouched, else its ``(id, text, spans, meta)``."""
+    out = []
+    for record in load_corpus(str(path), schema="predictions"):
+        applied = to_rem_spans(detect(record.text))
+        cleaned = clean_text(record.text, applied)
+        untouched = not applied and cleaned == record.text
+        out.append(None if untouched else (record.id, cleaned, tuple(applied), record.meta))
+    return out
+
+
+LAYOUTS = (
+    {},
+    {"separators": (",", ":")},
+    {"separators": (" , ", " : ")},
+    {"ensure_ascii": False},
+)
+
+
+def _relaid(obj, rng):
+    """``obj`` as a JSONL line in a random layout, sometimes padded, with an
+    unknown field sometimes added at a random place."""
+    if rng.random() < 0.3:
+        items = list(obj.items())
+        items.insert(rng.randint(0, len(items)), ("doi", f"10.1/{rng.randint(0, 99)}"))
+        obj = dict(items)
+    line = json.dumps(obj, **rng.choice(LAYOUTS))
+    return rng.choice(("", " ", "\t ")) + line + rng.choice(("", " ", " \t"))
+
+
+def check_streamed_clean(in_path, in_lines, out_path, kinds):
+    """Run clean from ``in_path``, whose records are ``in_lines`` (each line
+    less its terminator), to ``out_path``, and compare each output line
+    with the oracle: an untouched record's line comes out as it went in,
+    byte for byte; a cleaned record holds the oracle's (id, text, spans,
+    meta), and its other fields in their input order. Return the output
+    lines."""
+    run(["clean", "--input", in_path, "--output", out_path])
+    got = out_path.read_bytes().decode("utf-8").split("\n")
+    assert got.pop() == ""
+    want = load_all_clean(in_path)
+    assert len(got) == len(want) == len(in_lines)
+    for line, in_line, oracle in zip(got, in_lines, want):
+        if oracle is None:
+            assert line == in_line
+            relaid = json.dumps(json.loads(in_line), ensure_ascii=False)
+            kinds["untouched", in_line != relaid] += 1
+            continue
+        obj, in_obj = json.loads(line), json.loads(in_line)
+        spans = tuple(Span(s["start"], s["end"], s["label"]) for s in obj["spans"])
+        assert (obj["id"], obj["text"], spans, obj.get("meta") or {}) == oracle
+        assert list(obj) == list(in_obj)
+        assert {**obj, "text": in_obj["text"], "spans": in_obj["spans"]} == in_obj
+        kinds["cleaned", "doi" in obj] += 1
+    return got
+
+
+def test_streamed_clean_matches_load_all_clean(tmp_path):
+    """Seeded differential test of the streaming clean against the
+    load-all oracle (``check_streamed_clean``), on generated corpora in
+    random layouts and line ends, with blank lines and the adversarial
+    records among them. Cleaning the output again passes the same check,
+    so each record the second pass leaves untouched keeps its bytes
+    (criterion 8)."""
+    rng = random.Random(20261024)
+    kinds = Counter()
+    for seed in range(4):
+        workload = ("abstracts-10k", "long-dense")[seed % 2]
+        records, _queries, _vectors = gen.generate(workload, 100 + seed, SHAPES[workload])
+        lines = [_relaid({**r, "spans": []}, rng) for r in records]
+        lines += [line for _id, line in ADVERSARIAL]
+        rng.shuffle(lines)
+        lines.append('{"id": "last", "text": "No terminator.", "spans": []}')
+        path = tmp_path / f"in{seed}.jsonl"
+        with open(path, "wb") as fh:
+            for line in lines[:-1]:
+                fh.write(line.encode("utf-8") + rng.choice((b"\n", b"\r\n")))
+                if rng.random() < 0.02:
+                    fh.write(b"  \n")  # blank: skipped
+            fh.write(lines[-1].encode("utf-8"))
+        out, again = tmp_path / f"out{seed}.jsonl", tmp_path / f"again{seed}.jsonl"
+        cleaned = check_streamed_clean(path, lines, out, kinds)
+        check_streamed_clean(out, cleaned, again, Counter())
+    # Not vacuous: records both untouched and cleaned, in layouts that
+    # re-encoding would change and with unknown fields.
+    assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
 
 
 def test_eval_of_clean_output_scores_detect(corpus, tmp_path):

@@ -278,6 +278,21 @@ def test_failed_save_leaves_no_partial_file(tmp_path):
     assert not path.exists()
 
 
+def test_save_writes_encoded_lines_as_they_are(tmp_path):
+    """A string is one already encoded line: it goes out unchanged beside
+    the records saved from their fields, and one that UTF-8 cannot hold is
+    named by its line."""
+    path = tmp_path / "mixed.jsonl"
+    line = '{"text":"x","id":"b","spans":[],"doi":"10.1/x"}'
+    save_corpus([LabeledAbstract("a", "ok"), line], str(path))
+    assert path.read_text(encoding="utf-8") == (
+        '{"id": "a", "text": "ok", "spans": []}\n' + line + "\n"
+    )
+    with pytest.raises(CorpusError, match=r"mixed\.jsonl: line 2: lone surrogate U\+D800$"):
+        save_corpus([line, '{"id": "c", "text": "\ud800", "spans": []}'], str(path))
+    assert not path.exists()
+
+
 def test_failed_save_keeps_what_it_did_not_create(tmp_path):
     """Through a symlink the output is not a regular file at ``path``, as
     with ``--output /dev/stdout``, so it is not unlinked."""
