@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from collections import Counter
 from itertools import chain, islice
 
 from .corpus import CorpusStats, compute_stats, iter_checked, iter_records
-from .corpus import load_corpus, save_corpus
+from .corpus import json_line, load_corpus, record_line, save_corpus
 from .detectors import CATEGORY_REGISTRY, DetectorConfig, detect, to_rem_spans
 from .embedding import (
     CLEANED_ID_SUFFIX,
@@ -37,10 +36,6 @@ from .evaluation import (
 # filter_spans and tokenize are unused here; perfbench/tracer.py wraps
 # declutter.cli.filter_spans and declutter.cli.tokenize.
 from .textspan import clean_text, filter_spans, tokenize  # noqa: F401
-
-# Every JSON line the commands write; json.dumps with ensure_ascii=False
-# builds a new encoder per call.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
@@ -81,8 +76,7 @@ def cmd_clean(args: argparse.Namespace) -> int:
                 yield line.removesuffix("\n")
                 continue
             counts.update(span.label for span in applied)
-            spans = [{"start": s.start, "end": s.end, "label": s.label} for s in applied]
-            yield _encode({**obj, "text": cleaned, "spans": spans})
+            yield record_line({**obj, "text": cleaned, "spans": applied})
 
     lines = cleaned_lines()
     # The first record is read before the output is created, so an input
@@ -165,7 +159,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             for table, _title, rows in tables:
                 for row in rows:
                     line = {"table": table, **dataclasses.asdict(row)}
-                    fh.write(_encode(line) + "\n")
+                    fh.write(json_line(line) + "\n")
     print("\n\n".join(_format_report_table(title, rows) for _, title, rows in tables))
     precision, recall, f1 = token_prf(outcomes)
     print()
@@ -231,7 +225,7 @@ def cmd_rank_compare(args: argparse.Namespace) -> int:
     delta = rank_references(args.focal, ref_ids, before, after)
     if args.report:  # written first, as eval's is
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_encode(dataclasses.asdict(delta)))
+            fh.write(json_line(dataclasses.asdict(delta)))
             fh.write("\n")
     print(f"focal: {delta.focal_id}")
     print("order before: " + ", ".join(delta.order_before))

@@ -39,6 +39,11 @@ from .textspan import Span, ensure_finalized, filter_spans
 
 _SCHEMAS = ("gold", "predictions")
 
+# Every JSON line the package writes, less its terminator: records, eval
+# report rows, ranking deltas. One encoder serves every line; dumps with
+# ensure_ascii=False would build a new one per call.
+json_line = json.JSONEncoder(ensure_ascii=False).encode
+
 
 @dataclass(frozen=True)
 class LabeledAbstract:
@@ -133,7 +138,7 @@ def iter_jsonl(
                 # no escape at all.
                 if "\\" in line and ("\\ud" in line or "\\uD" in line):
                     try:
-                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                        json_line(obj).encode("utf-8")
                     except UnicodeEncodeError as exc:
                         code = ord(exc.object[exc.start])
                         raise error(
@@ -216,24 +221,20 @@ def load_corpus(path: str, schema: str = "gold") -> list[LabeledAbstract]:
     return [LabeledAbstract(*fields) for fields in iter_records(path, schema)]
 
 
-def _record_to_obj(record: LabeledAbstract) -> dict:
-    obj: dict = {
-        "id": record.id,
-        "text": record.text,
-        "spans": [
-            {"start": s.start, "end": s.end, "label": s.label} for s in record.spans
-        ],
-    }
-    if record.meta:
-        obj["meta"] = record.meta
-    return obj
+def record_line(obj: dict) -> str:
+    """The JSON line, less its terminator, of the record object ``obj``
+    whose ``spans`` are :class:`Span` s. Every key keeps its place, and each
+    span is written as ``{"start", "end", "label"}``."""
+    spans = [{"start": s.start, "end": s.end, "label": s.label} for s in obj["spans"]]
+    return json_line({**obj, "spans": spans})
 
 
 def save_corpus(records: Iterable[LabeledAbstract | str], path: str) -> None:
     """Write records as JSON Lines, one per line. A :class:`LabeledAbstract`
-    is encoded here: loading the file back reproduces it exactly, and
-    re-saving yields byte-identical output. A ``str`` is a record already
-    encoded as one JSON line, without its terminator, and goes out as it is.
+    is encoded by :func:`record_line`, ``meta`` left out when empty: loading
+    the file back reproduces it exactly, and re-saving yields byte-identical
+    output. A ``str`` is a record already encoded as one JSON line, without
+    its terminator, and goes out as it is.
 
     If writing fails, the partial output is removed when ``path`` names a
     regular file; anything else (``/dev/stdout``, a pipe, a symlink) is left
@@ -247,7 +248,10 @@ def save_corpus(records: Iterable[LabeledAbstract | str], path: str) -> None:
                 if isinstance(record, str):
                     line = record
                 else:
-                    line = json.dumps(_record_to_obj(record), ensure_ascii=False)
+                    meta = {"meta": record.meta} if record.meta else {}
+                    line = record_line(
+                        {"id": record.id, "text": record.text, "spans": record.spans, **meta}
+                    )
                 try:
                     fh.write(line)
                 except UnicodeEncodeError as exc:

@@ -48,12 +48,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-try:  # the sre internals moved under re._* in newer interpreters
-    from re import _compiler as _sre_compile  # type: ignore[attr-defined]
-    from re import _parser as _sre_parse  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - Python <= 3.10
-    import sre_compile as _sre_compile
-    import sre_parse as _sre_parse
+from re import _compiler as _sre_compile  # type: ignore[attr-defined]
+from re import _parser as _sre_parse  # type: ignore[attr-defined]
 
 # load_corpus is unused here; perfbench/tracer.py wraps
 # declutter.detectors.load_corpus.

@@ -87,16 +87,20 @@ def test_criterion_2_cleaning_identities():
 
 
 def test_criterion_3_golden_fixtures(tmp_path):
+    in_path = DATA_DIR / "golden_clutter.jsonl"
     out_path = tmp_path / "cleaned.jsonl"
-    rc = main(
-        ["clean", "--input", str(DATA_DIR / "golden_clutter.jsonl"), "--output", str(out_path)]
-    )
+    rc = main(["clean", "--input", str(in_path), "--output", str(out_path)])
     assert rc == 0
+    texts = {r.id: r.text for r in load_corpus(str(in_path), schema="predictions")}
     cleaned = {r.id: r for r in load_corpus(str(out_path), schema="predictions")}
     for rec_id, clutter, _category, carrier in CLUTTER_CASES:
         assert clutter not in cleaned[rec_id].text, rec_id
         assert carrier in cleaned[rec_id].text, rec_id
-    _passed(3, f"all {len(CLUTTER_CASES)} canonical clutter examples removed")
+        # The output spans index the input text: they cover the clutter,
+        # all of it and nothing else but whitespace.
+        removed = "".join(texts[rec_id][s.start : s.end] for s in cleaned[rec_id].spans)
+        assert removed.strip() == clutter, rec_id
+    _passed(3, f"all {len(CLUTTER_CASES)} canonical clutter examples removed exactly")
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,8 @@ def check_streamed_clean(in_path, in_lines, out_path, kinds):
     less its terminator), to ``out_path``, and compare each output line
     with the oracle: an untouched record's line comes out as it went in,
     byte for byte; a cleaned record holds the oracle's (id, text, spans,
-    meta), and its other fields in their input order. Return the output
-    lines."""
+    meta), and its other fields in their input order, in the bytes
+    json.dumps gives its object. Return the output lines."""
     run(["clean", "--input", in_path, "--output", out_path])
     got = out_path.read_bytes().decode("utf-8").split("\n")
     assert got.pop() == ""
@@ -233,6 +233,7 @@ def check_streamed_clean(in_path, in_lines, out_path, kinds):
             kinds["untouched", in_line != relaid] += 1
             continue
         obj, in_obj = json.loads(line), json.loads(in_line)
+        assert line == json.dumps(obj, ensure_ascii=False)
         spans = tuple(Span(s["start"], s["end"], s["label"]) for s in obj["spans"])
         assert (obj["id"], obj["text"], spans, obj.get("meta") or {}) == oracle
         assert list(obj) == list(in_obj)

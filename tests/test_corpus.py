@@ -242,11 +242,29 @@ def test_gold_loader_matches_parent_checks(tmp_path):
     assert min(verdicts.values()) >= 300, verdicts
 
 
+def _record_to_obj(record: LabeledAbstract) -> dict:
+    """The object a record is written as, built field by field: the oracle
+    of the bytes save_corpus writes."""
+    obj: dict = {
+        "id": record.id,
+        "text": record.text,
+        "spans": [
+            {"start": s.start, "end": s.end, "label": s.label} for s in record.spans
+        ],
+    }
+    if record.meta:
+        obj["meta"] = record.meta
+    return obj
+
+
 def test_round_trip_identity_and_stable_bytes(tmp_path):
     rng = random.Random(20240809)
     records = [_random_record(rng, i) for i in range(200)]
     path = tmp_path / "c.jsonl"
     save_corpus(records, str(path))
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert lines == [json.dumps(_record_to_obj(r), ensure_ascii=False) for r in records]
     loaded = load_corpus(str(path))
     assert loaded == records
     again = tmp_path / "c2.jsonl"
