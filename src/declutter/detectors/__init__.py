@@ -31,16 +31,15 @@ chosen when its pack is loaded. A rule led by ``^`` or ``\\A`` has no
 prescreen and plain ``finditer``: sre tries it at the start of the text
 only.
 
-Categories whose clutter is sentence-shaped (copyright, order_info,
-translation, funding) have their raw matches extended to sentence boundaries,
-found once per text; all other categories remove exactly what the pattern
-matched.
+A detection is exactly its rule's non-empty match: a rule whose clutter is
+a statement (copyright, order_info, translation, funding) carries the
+statement's bounded extent in its own pattern, so the packs alone specify
+what is removed.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heapreplace
@@ -69,9 +68,6 @@ CATEGORY_REGISTRY = (
     "citation",
 )
 _CATEGORY_INDEX = {name: i for i, name in enumerate(CATEGORY_REGISTRY)}
-
-# Categories whose matches are widened to the enclosing sentence.
-SENTENCE_SCOPED = frozenset({"copyright", "order_info", "translation", "funding"})
 
 
 @dataclass(frozen=True)
@@ -447,66 +443,6 @@ def _compiled_rules(config: DetectorConfig) -> tuple[tuple, ...]:
     return tuple(rule for rule in rules if rule[0] in enabled)
 
 
-# Tokens before a '.' that do not end a sentence.
-_ABBREVIATIONS = frozenset(
-    {
-        "Fig", "Figs", "fig", "figs", "Tab", "Tabs", "Eq", "Eqs", "Ref", "Refs",
-        "No", "Nos", "no", "Dr", "Mr", "Mrs", "Ms", "Prof", "St", "Jr", "Sr",
-        "vs", "cf", "ca", "al", "etc", "Inc", "Ltd", "Co", "Corp", "resp",
-        "approx", "e.g", "i.e", "Ph.D",
-    }
-)
-# A terminator that may end a sentence, with the whitespace after it.
-_CANDIDATE_END = re.compile(r"[.!?](?!\S)\s*")
-_LEADING_SPACE = re.compile(r"\s*")
-
-
-def _widener(text: str):
-    """Find every sentence end of ``text`` in one pass, and return
-    ``widen(start, end)``, which widens [start, end) to its enclosing
-    sentence, absorbing the trailing terminator and whitespace so the
-    removal splices cleanly.
-
-    Boundary detection is deliberately asymmetric: scanning backward, a lone
-    capital before a period counts as a sentence end so a preceding content
-    sentence ("... vitamin X.") is never swallowed; scanning forward it is
-    read as a name initial so a whole statement ("© 2020 John A. Smith. All
-    rights reserved.") is still removed in one piece. Each direction errs on
-    the side that does the least damage. Each end is held as ``(terminator
-    offset, end of the whitespace after it)``. ``strict`` serves the
-    backward scan and opens with the start of the text, at offset -1;
-    ``lenient``, a subset of it, serves the forward scan and closes with the
-    end, at ``len(text)``. A span widens from the last strict end before
-    ``start`` (and the whitespace after it, up to ``start``) through the
-    first lenient end at or after ``end - 1`` and the whitespace after that.
-    """
-    strict = [(-1, _LEADING_SPACE.match(text).end())]
-    lenient = []
-    for m in _CANDIDATE_END.finditer(text):
-        j = m.start()
-        boundary = (j, m.end())
-        if text[j] == ".":
-            # The token before the period, back to the last whitespace.
-            k = j
-            while k > 0 and not text[k - 1].isspace():
-                k -= 1
-            token = text[k:j]
-            if token in _ABBREVIATIONS:
-                continue  # no sentence end either way
-            if token[-1:].isupper() and (len(token) == 1 or token[-2] == "."):
-                strict.append(boundary)  # an initial: "John A. Smith", "B.V."
-                continue
-        strict.append(boundary)
-        lenient.append(boundary)
-    lenient.append((len(text), len(text)))
-
-    def widen(start: int, end: int) -> tuple[int, int]:
-        s = min(strict[bisect_left(strict, (start,)) - 1][1], start)
-        return s, lenient[bisect_left(lenient, (max(end - 1, 0),))][1]
-
-    return widen
-
-
 def _passes(trigger: tuple[str, ...], text: str) -> bool:
     """Whether ``text`` holds a member of ``trigger``; true for the empty
     trigger."""
@@ -519,37 +455,21 @@ def _passes(trigger: tuple[str, ...], text: str) -> bool:
 def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
     """Run every enabled category's rules over ``text``.
 
-    Returns all raw matches (overlaps across rules are allowed) ordered by
-    start offset, then category registry order. Matches of one rule that
-    widen to the same span give one detection. Purely a function of its
+    Returns one detection per non-empty match of each rule, ordered by
+    start offset, then category registry order; overlaps across rules are
+    allowed, and one rule's matches are disjoint. Purely a function of its
     arguments: same text and config, same detections.
-
-    Each rule's matches come in order and do not overlap, and widening
-    never moves a later match's start or end before an earlier one's, so
-    the spans one rule widens to the same sentence come one after another:
-    each is compared only with the one its rule added last.
     """
     if config is None:
         config = _DEFAULT_CONFIG
     detections: list[Detection] = []
-    widen = None
     for category, rule_id, _regex, trigger, search in _compiled_rules(config):
         if not _passes(trigger, text):
             continue
-        scoped = category in SENTENCE_SCOPED
-        last = None
         for m in search(text):
             s, e = m.span()
-            if s == e:
-                continue
-            if scoped:
-                if widen is None:
-                    widen = _widener(text)
-                s, e = widen(s, e)
-                if (s, e) == last:
-                    continue
-                last = s, e
-            detections.append(Detection(Span(s, e, category), rule_id))
+            if s != e:
+                detections.append(Detection(Span(s, e, category), rule_id))
     detections.sort(
         key=lambda d: (d.span.start, _CATEGORY_INDEX[d.span.label], d.span.end, d.rule_id)
     )

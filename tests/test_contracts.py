@@ -24,8 +24,9 @@ import pytest
 from declutter.cli import main
 from declutter.corpus import load_corpus
 from declutter.detectors import detect, to_rem_spans
+from declutter.embedding import BuiltinProvider, cosine
 from declutter.evaluation import score_abstract, token_prf
-from declutter.textspan import Span, clean_text
+from declutter.textspan import Span, clean_text, tokenize
 
 from conftest import DATA_DIR
 
@@ -292,6 +293,59 @@ def test_eval_of_clean_output_scores_detect(corpus, tmp_path):
     )
     # Not vacuous: the cleaner both over- and under-removes here.
     assert 0 < precision < 1 and 0 < recall < 1
+
+
+def generated(seeds):
+    """Every record the generator gives on ``seeds``, each seed on one
+    workload in turn, as the streaming test builds them."""
+    for seed in seeds:
+        workload = ("abstracts-10k", "long-dense")[seed % 2]
+        yield from gen.generate(workload, seed, SHAPES[workload])[0]
+
+
+def cleaned(text):
+    return clean_text(text, to_rem_spans(detect(text)))
+
+
+def test_clean_is_a_fixed_point(corpus):
+    """Nothing is left to detect in a cleaned text: detect finds nothing
+    in clean_text(x, to_rem_spans(detect(x))), for every record of the
+    corpus and of the generated corpora."""
+    _path, lines, _queries, _vectors = corpus
+    texts = [json.loads(line)["text"] for line in lines]
+    texts += [record["text"] for record in generated(range(100, 104))]
+    left = {text: detect(cleaned(text)) for text in texts}
+    assert {text: found for text, found in left.items() if found} == {}
+    # Not vacuous: more than a quarter of the texts lose something.
+    assert sum(cleaned(text) != text.strip() for text in texts) > len(texts) / 4
+
+
+def first_tokens(text, n):
+    """``text`` up to the end of its ``n``-th token."""
+    ends = tokenize(text).ends
+    return text[: ends[n - 1]] if len(ends) > n else text
+
+
+def test_cleaning_keeps_long_texts_close_to_gold_under_a_budget(corpus):
+    """On the long dense records, the first 128 tokens of the cleaned text
+    are on average at least as close to the first 128 of the gold-clean
+    text as those of the raw text are: builtin cosine at dimension 768,
+    the window of a 512-token encoder cut to the clutter's density."""
+    provider = BuiltinProvider(768)
+    _path, lines, _queries, _vectors = corpus
+    records = [json.loads(line) for line in lines]
+    records += generated(range(100, 104))
+    raw, clean = [], []
+    for record in records:
+        if not record["id"].startswith("L"):
+            continue
+        text = record["text"]
+        gold = [Span(s["start"], s["end"], s["label"]) for s in record["spans"]]
+        target = provider.vector(first_tokens(clean_text(text, gold), 128))
+        for out, candidate in ((raw, text), (clean, cleaned(text))):
+            out.append(cosine(provider.vector(first_tokens(candidate, 128)), target))
+    assert len(raw) >= 12
+    assert sum(clean) / len(clean) >= sum(raw) / len(raw), (raw, clean)
 
 
 @pytest.mark.parametrize("provider", ["builtin", "vectors"])

@@ -11,7 +11,6 @@ from declutter import detectors
 from declutter.corpus import load_corpus
 from declutter.detectors import (
     CATEGORY_REGISTRY,
-    SENTENCE_SCOPED,
     Detection,
     DetectorConfig,
     _compiled_rules,
@@ -64,7 +63,7 @@ BUILTIN_TRIGGERS = {
     "index_terms": ("INDEX TERMS", "Index "),
     "pacs_codes": ("PACS",),
     "msc_codes": ("MSC", "Mathematics Subject Classification"),
-    "ctgov_nct": ("NCT",),
+    "ctgov_nct": ("ClinicalTrials.gov", "NCT"),
     "trial_reg_sentence": ("egistration",),
     "isrctn": ("ISRCTN",),
     "prospero": ("CRD42",),
@@ -100,12 +99,14 @@ BUILTIN_SEARCHES = {
     "copyright_sign": None, "copyright_c_paren": None, "heading_lead": None,
     "jel_codes": None, "index_terms": None, "pacs_codes": None, "msc_codes": None,
     "translated_from": None, "paren_figtab": None, "bracket_refs": None,
+    # A branch whose alternatives all start with a literal: sre skips ahead
+    # by their first characters on its own.
+    "ctgov_nct": None,
     # The first top-level literal comes after a class, an anchor or an
     # optional part.
     "copyright_word": ("factor", 1), "all_rights_reserved": ("factor", 1),
     "licensee": ("factor", 1), "payment_order": ("factor", 1),
-    "single_copies": ("factor", 1), "ctgov_nct": ("factor", UNBOUNDED),
-    "isrctn": ("factor", 0), "prospero": ("factor", UNBOUNDED),
+    "single_copies": ("factor", 1), "isrctn": ("factor", 0), "prospero": ("factor", UNBOUNDED),
     "eudract": ("factor", 0), "registered_at": ("factor", 1),
     "translation_of": ("factor", 1), "orig_published": ("factor", 1),
     "funded_by": ("factor", 1), "grant_no": ("factor", 1), "arxiv_id": ("factor", 0),
@@ -209,8 +210,7 @@ CUSTOM_RULES = (
     ("funding", "ZETA[Kk]appa"),
     # A mandatory one-character literal.
     ("registration", r"wq\([0-9]\)"),
-    # A literal after an optional capturing group and a \b: the rule gets a
-    # factor, one in a sentence-scoped category.
+    # A literal after an optional group and a \b: each rule gets a factor.
     ("citation", r"(AB[ \t]*)?\bCD[0-9]{2}\b"),
     ("copyright", r"(?:kk )?\bQQ[0-9]\b"),
     # Rules led by a branch, which get a factor cut from it: alternatives
@@ -260,79 +260,22 @@ CASINGS = (
 SEPARATORS = (" ", " ", ". ", ", ", "\n", "", ": ", " - ", "\t", "ß", "Σ ", "İ")
 
 
-_TERMINATORS = ".!?"
-
-
-def _is_sentence_end(text, j, lenient_initials):
-    """Whether ``text[j]`` ends a sentence, tested on its own: the oracle's
-    copy of the rules, sharing only the abbreviation list with the code
-    under test."""
-    ch = text[j]
-    if ch not in _TERMINATORS:
-        return False
-    if j + 1 < len(text) and not text[j + 1].isspace():
-        return False
-    if ch != ".":
-        return True
-    k = j
-    while k > 0 and not text[k - 1].isspace():
-        k -= 1
-    token = text[k:j]
-    if token in detectors._ABBREVIATIONS:
-        return False
-    if lenient_initials:
-        if len(token) == 1 and token.isupper():
-            return False  # lone initial, "John A. Smith"
-        if len(token) >= 2 and token[-2] == "." and token[-1].isupper():
-            return False  # chained initials, "B.V."
-    return True
-
-
-def scanning_sentence_bounds(text, start, end):
-    """The widening oracle: scan back from ``start`` and forward from
-    ``end - 1`` one character at a time, testing each with
-    ``_is_sentence_end``, then absorb the whitespace after each boundary."""
-    s = 0
-    for j in range(start - 1, -1, -1):
-        if _is_sentence_end(text, j, lenient_initials=False):
-            s = j + 1
-            break
-    while s < start and text[s].isspace():
-        s += 1
-    n = len(text)
-    e = n
-    for j in range(max(end - 1, 0), n):
-        if _is_sentence_end(text, j, lenient_initials=True):
-            e = j + 1
-            break
-    while e < n and text[e].isspace():
-        e += 1
-    return s, e
-
-
 def reference_detect(text, rules):
-    """``detect`` as its contract states it, sharing no code with its loop:
-    the non-empty ``finditer`` matches of each of ``rules``, as
-    ``_compiled_rules`` gives them, widened by the scanning oracle, kept
-    once each by a set and sorted. Returns the detections and how many
-    repeats the set dropped."""
-    seen = set()
-    dropped = 0
-    for category, rule_id, regex, _trigger, _search in rules:
-        for m in regex.finditer(text):
-            s, e = m.span()
-            if s == e:
-                continue
-            if category in SENTENCE_SCOPED:
-                s, e = scanning_sentence_bounds(text, s, e)
-            dropped += (s, e, category, rule_id) in seen
-            seen.add((s, e, category, rule_id))
-    order = sorted(seen, key=lambda k: (k[0], CATEGORY_REGISTRY.index(k[2]), k[1], k[3]))
-    return [Detection(Span(s, e, c), r) for s, e, c, r in order], dropped
+    """``detect`` as its contract states it, sharing no code with its loop
+    or its searches: the non-empty ``finditer`` matches of each of
+    ``rules``, as ``_compiled_rules`` gives them, sorted."""
+    found = [
+        (m.start(), m.end(), category, rule_id)
+        for category, rule_id, regex, _trigger, _search in rules
+        for m in regex.finditer(text)
+        if m.end() > m.start()
+    ]
+    found.sort(key=lambda k: (k[0], CATEGORY_REGISTRY.index(k[2]), k[1], k[3]))
+    return [Detection(Span(s, e, c), r) for s, e, c, r in found]
 
 
-# Sentence-scoped custom rules that match several times in one sentence,
-# one per search: finditer, a factor after \b, a search from the trigger's
+# Custom rules that match several times in one text, back to back too, one
+# per search: finditer, a factor after \b, a search from the trigger's
 # members, and finditer again, led by a branch.
 REPEATING_RULES = (
     ("copyright", "zz[0-9]"),
@@ -347,14 +290,15 @@ REPEATING_PIECES = ("zz1", "zz2 zz3", "kk1", "kk2kk3", "aqx", "bQX cqx", "ab!", 
 HEADINGS = ("Abstract: ", "ABSTRACT. ", "Summary - ", "Abstract:")
 LEADING_BLANKS = ("", " ", "\t", " \t  ")
 
-# Pieces for the widening differential test: abbreviations, lone and
-# chained initials, terminators and Unicode whitespace.
-WIDENING_PIECES = (
+# Pieces for the differential test of the loop: abbreviations, lone and
+# chained initials, terminators and Unicode whitespace, which end or do not
+# end a statement's extent.
+STATEMENT_PIECES = (
     "word", "Results", "x", "Fig.", "fig.", "e.g.", "i.e.", "Ph.D.", "etc.", "al.",
     "Inc.", "A.", "J.", "B.V.", "U.S.A.", "a.b.", "AB.", "x.Y", "3.5", ".", "!", "?",
     "?!", "..", "end.", "Why?", "Stop!", "©", "(C)", "vs.", "No.",
 )
-WIDENING_SPACES = (
+STATEMENT_SPACES = (
     " ", " ", " ", "  ", "\n", "\t", "\xa0", "\u2009", "\x1c", "\u3000", "\u2028",
     "\x85", "", ". ",
 )
@@ -560,47 +504,14 @@ class TestHeadings:
         assert cleaned == "The method generalizes."
 
 
-class TestSentenceWidening:
-    def test_bisect_widening_matches_scanning_oracle(self):
-        """Seeded differential test: boundaries found once per text, looked
-        up by bisect, widen every span as the one-character scan does."""
-        rng = random.Random(20241018)
-        checked = 0
-        for _ in range(1500):
-            pieces = []
-            for _ in range(rng.randint(0, 12)):
-                pieces.append(rng.choice(WIDENING_PIECES))
-                pieces.append(rng.choice(WIDENING_SPACES))
-            if rng.random() < 0.3:
-                pieces.insert(0, rng.choice(".!?"))  # a terminator at offset 0
-            if pieces and rng.random() < 0.5:
-                pieces.pop()  # end on a piece, often a terminator
-            text = "".join(pieces)
-            n = len(text)
-            if n == 0:
-                continue
-            widen = detectors._widener(text)
-            pairs = {(0, 1), (0, n), (n - 1, n)}
-            for _ in range(12):
-                start = rng.randrange(n)
-                pairs.add((start, rng.randint(start + 1, n)))
-            for start, end in pairs:
-                got = widen(start, end)
-                assert got == scanning_sentence_bounds(text, start, end), (
-                    text, start, end
-                )
-                checked += 1
-        assert checked > 15000
-
+class TestDetectLoop:
     def test_detect_matches_reference(self, golden_path, tmp_path):
         """Seeded differential test of the whole loop: detect equals
-        reference_detect, which widens each match by scanning and drops
-        repeats with a set, under the built-in packs and under a pack of
-        sentence-scoped rules that match several times per sentence. It
-        pins that the repeats one rule widens to one span come one after
-        another, so detect compares each only with the last. Some texts
-        start with blanks and a heading, and headings also come mid-text,
-        where heading_lead, led by ^ and run without a prescreen, must not
+        reference_detect, which runs finditer where detect runs each rule's
+        own search, under the built-in packs and under a pack of rules that
+        match several times per text, one per search. Some texts start with
+        blanks and a heading, and headings also come mid-text, where
+        heading_lead, led by ^ and run without a prescreen, must not
         match."""
         rng = random.Random(20261020)
         repeating = DetectorConfig(rules_dir=write_rules(tmp_path, REPEATING_RULES))
@@ -608,41 +519,57 @@ class TestSentenceWidening:
         assert [search_of(rule[4]) for rule in _compiled_rules(repeating)] == [
             None, ("anchored", 2), None, ("factor", 0)
         ]
+        configs = (DetectorConfig(), repeating)
+        kinds = {
+            rule_id: (search_of(search) or ("finditer",))[0]
+            for config in configs
+            for _c, rule_id, _regex, _trigger, search in _compiled_rules(config)
+        }
         sentences = [
             sentence for r in load_corpus(str(golden_path)) for sentence in r.text.split(". ")
         ]
-        pools = (RULE_FRAGMENTS, WIDENING_PIECES, sentences, REPEATING_PIECES)
+        pools = (RULE_FRAGMENTS, STATEMENT_PIECES, sentences, REPEATING_PIECES)
         # Headings come from a generator of their own, so the other pieces
         # are those the seed gave before headings were added.
         heads = random.Random(20261024)
-        dropped = Counter()
+        found = Counter()
         headings = Counter()
         for _ in range(2000):
             pieces = []
             for _ in range(rng.randint(1, 10)):
                 pieces.append(rng.choice(rng.choice(pools)))
-                pieces.append(rng.choice(WIDENING_SPACES))
+                pieces.append(rng.choice(STATEMENT_SPACES))
             if heads.random() < 0.3:
                 pieces.insert(0, heads.choice(LEADING_BLANKS) + heads.choice(HEADINGS))
             text = "".join(pieces)
-            for config in (DetectorConfig(), repeating):
-                want, repeats = reference_detect(text, _compiled_rules(config))
+            for config in configs:
+                want = reference_detect(text, _compiled_rules(config))
                 assert detect(text, config) == want, text
-                dropped[config] += repeats
+                per_rule = Counter(d.rule_id for d in want)
+                for kind in {kinds[rule_id] for rule_id in per_rule}:
+                    found[config, kind, "a match"] += 1
+                for kind in {kinds[rule_id] for rule_id, n in per_rule.items() if n > 1}:
+                    found[config, kind, "two matches"] += 1
             lead = any(d.rule_id == "heading_lead" for d in detect(text))
             if lead and text[0] in " \t":
                 headings["after blanks"] += 1
             if not lead and any(h in text for h in HEADINGS):
                 headings["mid-text only"] += 1
-        # Not vacuous: under both packs, some match widened to a span its
-        # rule had already given; heading_lead matched after leading blanks,
-        # and some texts hold a heading mid-text only.
-        assert dropped[DetectorConfig()] >= 20 and dropped[repeating] >= 20, dropped
+        # Not vacuous: under both packs, the rules of each of the three
+        # searches matched on at least 100 texts, and one of them matched
+        # twice in one text, resuming at the end of its first match, on at
+        # least 5; heading_lead matched after leading blanks, and some texts
+        # hold a heading mid-text only.
+        for config in configs:
+            for kind in ("finditer", "factor", "anchored"):
+                assert found[config, kind, "a match"] >= 100, (kind, found)
+                assert found[config, kind, "two matches"] >= 5, (kind, found)
         assert min(headings.values()) >= 20 and len(headings) == 2, headings
 
     def test_long_text_without_terminator_is_linear(self):
-        """400 copyright signs in 100k characters and no sentence end: every
-        match widens to the whole text. The per-match scan took seconds."""
+        """400 copyright signs in 100k characters and no sentence end: each
+        sign is a bare notice, the sign and the blank after it. Widening
+        each match to its sentence once took seconds here."""
         rng = random.Random(400)
         words = ("films", "grew", "under", "light", "and", "heat", "samples", "were")
         chunks = []
@@ -656,7 +583,7 @@ class TestSentenceWidening:
         detections = detect(text)
         elapsed = time.perf_counter() - started
         assert [(d.rule_id, d.span.start, d.span.end) for d in detections] == [
-            ("copyright_sign", 0, len(text))
+            ("copyright_sign", i, i + 2) for i in range(0, len(text), 250)
         ]
         assert elapsed < 0.5, elapsed
 

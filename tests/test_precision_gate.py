@@ -22,14 +22,13 @@ GOLD = pathlib.Path(__file__).parent / "data" / "precision_gold.jsonl"
 # (precision, recall) floors per category, their values when the gate
 # landed or a floor last rose, rounded down to 3 decimals. A later change
 # may raise a floor; no change may lower one. registered_at leaves the
-# start and the terminator of its sentence behind, and ctgov_nct an inline
-# identifier's parentheses.
+# start of its sentence behind.
 FLOORS = {
     "copyright": (1.0, 1.0),
     "order_info": (1.0, 1.0),
     "section_heading": (1.0, 1.0),
     "keywords_codes": (1.0, 1.0),
-    "registration": (1.0, 0.666),
+    "registration": (1.0, 0.809),
     "translation": (1.0, 1.0),
     "funding": (1.0, 1.0),
     "internal_ref": (1.0, 1.0),

@@ -37,8 +37,11 @@ OLD_PATTERNS = {
     "ctgov_nct": r"(?:ClinicalTrials\.gov[ \t]*(?:[Ii]dentifier|[Rr]egistration"
     r"(?:[ \t]+[Nn]umber)?|[Nn]umber|[Nn]o\.?|ID)?[ \t]*[:#]?[ \t]*)?NCT[ \t]?[0-9]{8,11}",
     "prospero": r"(?:PROSPERO[ \t]*(?:[Rr]egistration)?[ \t]*:?[ \t]*)?\bCRD42[0-9]{5,9}\b",
+    # Since then grant_no runs on to the end of its statement, so its
+    # oracle ends the same way.
     "grant_no": r"[Gg]rant[ \t]+(?:[Nn]os?\.?|[Nn]umbers?)[ \t]*:?[ \t]*"
-    r"[A-Z0-9][A-Z0-9/\-]{2,}",
+    r"[A-Z0-9][A-Z0-9/\-]{2,}"
+    r"(?:\b(?:[A-Z]|[Nn]os?|Ltd|Inc|Co|Corp)\.|[^.!?]){0,160}(?:[.!?][ \t]*)?",
     "msc_codes": r"(?:MSC|Mathematics Subject Classification)[ \t]*"
     r"(?:\(?(?:19|20)[0-9]{2}\)?)?[ \t]*:[ \t]*[0-9][0-9A-Z,;()' \t]{0,80}",
 }
