@@ -232,7 +232,10 @@ def _search(tree, trigger: dict[str, int], regex: re.Pattern):
 
     The factor is the parse tree from the first top-level node that is a
     ``LITERAL``, or a ``BRANCH`` each of whose alternatives starts with one,
-    to the end; its reach is the most characters the nodes before it can
+    to the end, less the repeats of minimum zero that end the pattern, such
+    as a statement's extent: they can always match empty, so the factor
+    matches at the same starts without them, and is quicker to compile and
+    to search. Its reach is the most characters the nodes before it can
     span. Every match of the pattern ``A·F`` holds a match of ``F`` where
     ``A`` ends, at most ``reach`` characters after the match starts, and
     ``\\b``, ``^`` and ``$`` test the same text there. So a text in which
@@ -275,7 +278,10 @@ def _search(tree, trigger: dict[str, int], regex: re.Pattern):
             continue
         elif i == 0:
             break
-        factor = _sre_compile.compile(_sre_parse.SubPattern(state, data[i:]))
+        end = len(data)
+        while data[end - 1][0].name in ("MAX_REPEAT", "MIN_REPEAT") and not data[end - 1][1][0]:
+            end -= 1
+        factor = _sre_compile.compile(_sre_parse.SubPattern(state, data[i:end]))
         return partial(_factored_matches, regex, factor, _width(state, data[:i]))
     return regex.finditer
 

@@ -5,6 +5,25 @@ import pytest
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
+# The two extents the rule packs write out in full, one copy per rule that
+# ends with it (see "Rule packs" in the README). A statement runs at most
+# 160 items to its terminator, then takes the terminator and the blanks
+# after it; an item is an abbreviation with its period, a period with no
+# blank or terminator after it, or any other character but a terminator.
+STATEMENT_EXTENT = (
+    r"(?:\b(?:[A-Z]|[Nn]os?|Ltd|Inc|Co|Corp|Dr|Prof|Dept|vs|al|e\.g|i\.e)\."
+    r"|\.[^ \t\r\n.!?]|[^.!?]){0,160}(?:[.!?][ \t]*)?"
+)
+# A copyright notice's holder, after the sign or the year: at most 10 items,
+# ended by a blank, a period and a blank, or the end of the text.
+HOLDER = (
+    r"(?:(?:[ \t]+(?:[Aa]ll [Rr]ights [Rr]eserved|(?:[A-Z][a-z]?\.){1,4}"
+    r"|(?:(?:by|of|for|and|the|under exclusive licen[cs]e to)[ \t]+){0,2}"
+    r"[A-Z][A-Za-z‐-]*(?:\(s\))?"
+    r"|(?:by[ \t]+)?the[ \t]+authors?|(?:19|20)[0-9]{2}|&)|,){0,10}"
+    r"(?:\.?[ \t]+|\.?$))?"
+)
+
 # One golden record per clutter category: (record id, clutter substring that
 # must disappear, category, carrier substring that must survive).
 CLUTTER_CASES = [

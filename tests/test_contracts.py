@@ -320,6 +320,26 @@ def test_clean_is_a_fixed_point(corpus):
     assert sum(cleaned(text) != text.strip() for text in texts) > len(texts) / 4
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="an unterminated notice's holder takes the next statement's first "
+    "word, the longer statement wins the overlap, and the notice stays",
+)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(c) 2021 Wiley Periodicals LLC Single copies of this article are available on "
+        "request.",
+        "Copyright 2009 MDPI This research was funded by the National Science Foundation.",
+    ],
+)
+def test_clean_is_a_fixed_point_after_an_unterminated_notice(text):
+    """Known failure: the notice survives the first clean and is found in
+    the second. Texts of this form are what keep some generated abstracts
+    from being a fixed point."""
+    assert detect(cleaned(text)) == []
+
+
 def first_tokens(text, n):
     """``text`` up to the end of its ``n``-th token."""
     ends = tokenize(text).ends

@@ -20,6 +20,8 @@ from declutter.detectors import (
 from declutter.errors import DetectorError
 from declutter.textspan import Span, clean_text
 
+from conftest import HOLDER, STATEMENT_EXTENT
+
 
 def categories_of(detections):
     return {d.span.label for d in detections}
@@ -63,7 +65,8 @@ BUILTIN_TRIGGERS = {
     "index_terms": ("INDEX TERMS", "Index "),
     "pacs_codes": ("PACS",),
     "msc_codes": ("MSC", "Mathematics Subject Classification"),
-    "ctgov_nct": ("ClinicalTrials.gov", "NCT"),
+    "ctgov_nct": ("NCT",),
+    "ctgov_nct_paren": ("NCT",),
     "trial_reg_sentence": ("egistration",),
     "isrctn": ("ISRCTN",),
     "prospero": ("CRD42",),
@@ -99,14 +102,13 @@ BUILTIN_SEARCHES = {
     "copyright_sign": None, "copyright_c_paren": None, "heading_lead": None,
     "jel_codes": None, "index_terms": None, "pacs_codes": None, "msc_codes": None,
     "translated_from": None, "paren_figtab": None, "bracket_refs": None,
-    # A branch whose alternatives all start with a literal: sre skips ahead
-    # by their first characters on its own.
-    "ctgov_nct": None,
+    "ctgov_nct_paren": None,
     # The first top-level literal comes after a class, an anchor or an
     # optional part.
     "copyright_word": ("factor", 1), "all_rights_reserved": ("factor", 1),
     "licensee": ("factor", 1), "payment_order": ("factor", 1),
-    "single_copies": ("factor", 1), "isrctn": ("factor", 0), "prospero": ("factor", UNBOUNDED),
+    "single_copies": ("factor", 1), "ctgov_nct": ("factor", UNBOUNDED),
+    "isrctn": ("factor", 0), "prospero": ("factor", UNBOUNDED),
     "eudract": ("factor", 0), "registered_at": ("factor", 1),
     "translation_of": ("factor", 1), "orig_published": ("factor", 1),
     "funded_by": ("factor", 1), "grant_no": ("factor", 1), "arxiv_id": ("factor", 0),
@@ -403,6 +405,27 @@ class TestDetect:
         cleaned = clean_text(text, to_rem_spans(detect(text)))
         assert cleaned == "Results were strong."
 
+    @pytest.mark.parametrize(
+        "text, removed",
+        [
+            # The precision gold set holds the other holder forms, and a
+            # decimal, a URL, "Dr." and "Dept." inside statements.
+            ("© 2020 American Association for the Advancement of Science.", None),
+            ("© The Author(s), under exclusive licence to Springer Nature AG 2021", None),
+            ("Translated from the German by Prof. K. Braun, e.g. its tables.", None),
+            # The holder's connectives never end it: they need a capitalised
+            # word after them.
+            ("© 2019 Optical Society of the results.", "© 2019 Optical Society "),
+        ],
+    )
+    def test_statement_and_notice_extents(self, text, removed):
+        """Each notice or statement goes whole, or as ``removed`` says, from
+        the end of a sentence that stays."""
+        carrier = "Films grew. "
+        cleaned = clean_text(carrier + text, to_rem_spans(detect(carrier + text)))
+        rest = text[len(removed):] if removed else ""
+        assert cleaned == (carrier + rest).strip()
+
     def test_deterministic_and_ordered(self):
         text = (
             "Background: we study films [1-4]. Funding: grant support. "
@@ -589,6 +612,31 @@ class TestDetectLoop:
 
 
 class TestRulePacks:
+    def test_statement_and_notice_rules_share_one_extent(self):
+        """Every rule whose clutter is a statement ends with the one
+        statement extent, and every copyright notice rule with the one
+        holder, as conftest defines them: a fix made in one copy and not
+        the others fails here."""
+        notices = {"copyright_sign", "copyright_c_paren", "copyright_word"}
+        ends = {}
+        for pack in (resources.files(detectors) / "rules").iterdir():
+            if not pack.name.endswith(".rules"):
+                continue
+            for line in pack.read_text(encoding="utf-8").splitlines():
+                if line.strip() and not line.startswith("#"):
+                    rule_id, category, pattern = line.split("\t")
+                    if rule_id in notices:
+                        ends[rule_id] = HOLDER
+                    elif rule_id == "registered_at" or category in (
+                        "copyright", "order_info", "translation", "funding"
+                    ):
+                        ends[rule_id] = STATEMENT_EXTENT
+                    else:
+                        continue
+                    assert pattern.endswith(ends[rule_id]), rule_id
+        assert sorted(ends.values()).count(STATEMENT_EXTENT) == 13
+        assert set(ends) >= notices
+
     def test_malformed_line_rejected(self, tmp_path):
         pack = tmp_path / "x.rules"
         pack.write_text("only_two_fields\tcopyright\n", encoding="utf-8")
@@ -870,6 +918,8 @@ class TestRulePacks:
             # A member in a repeat sits where its first pass does.
             ("citation", "[0-9](?:[Xx]yz|XYZ)(?:-ab){2,5}"),
             ("citation", "[0-9]*(?:Kelp|KELP)#"),
+            # Repeats of minimum zero that end the pattern stay out of it.
+            ("citation", "[0-9]*(?:Kelp|KELP)#(?:ab)*[0-9]{0,3}"),
         ]
         config = DetectorConfig(rules_dir=write_rules(tmp_path, rules))
         searches = {r: search for _c, r, _regex, _t, search in _compiled_rules(config)}
@@ -878,7 +928,7 @@ class TestRulePacks:
             "custom_2": ("anchored", 0), "custom_3": ("factor", UNBOUNDED),
             "custom_4": ("anchored", 2), "custom_5": None, "custom_6": None,
             "custom_7": None, "custom_8": ("anchored", 4), "custom_9": ("anchored", 4),
-            "custom_10": ("factor", UNBOUNDED),
+            "custom_10": ("factor", UNBOUNDED), "custom_11": ("factor", UNBOUNDED),
         }
         # After the leading \b, from the first top-level literal on.
         cd = searches["custom_0"].args[1]
@@ -896,6 +946,8 @@ class TestRulePacks:
         kelp = searches["custom_10"].args[1]
         assert [kelp.search(t).span() for t in ("a Kelp#", "KELP#")] == [(2, 7), (0, 5)]
         assert kelp.search("kelp#") is None
+        kelp = searches["custom_11"].args[1]
+        assert kelp.search("a Kelp#abab12").span() == (2, 7)
 
     def test_factored_search_finds_what_finditer_finds(self, tmp_path):
         """The search resumes before each trigger occurrence: past one where

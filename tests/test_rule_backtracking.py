@@ -22,6 +22,8 @@ import declutter
 from declutter import detectors
 from declutter.detectors import DetectorConfig, _compiled_rules
 
+from conftest import STATEMENT_EXTENT
+
 SRC = Path(declutter.__file__).resolve().parent.parent
 
 # The patterns before the rewrite, kept as the oracles of their rewrites:
@@ -40,8 +42,7 @@ OLD_PATTERNS = {
     # Since then grant_no runs on to the end of its statement, so its
     # oracle ends the same way.
     "grant_no": r"[Gg]rant[ \t]+(?:[Nn]os?\.?|[Nn]umbers?)[ \t]*:?[ \t]*"
-    r"[A-Z0-9][A-Z0-9/\-]{2,}"
-    r"(?:\b(?:[A-Z]|[Nn]os?|Ltd|Inc|Co|Corp)\.|[^.!?]){0,160}(?:[.!?][ \t]*)?",
+    r"[A-Z0-9][A-Z0-9/\-]{2,}" + STATEMENT_EXTENT,
     "msc_codes": r"(?:MSC|Mathematics Subject Classification)[ \t]*"
     r"(?:\(?(?:19|20)[0-9]{2}\)?)?[ \t]*:[ \t]*[0-9][0-9A-Z,;()' \t]{0,80}",
 }
