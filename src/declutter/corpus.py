@@ -12,9 +12,10 @@ into ``text``. Two schemas are supported:
 
 * ``gold``: spans must be in bounds, sorted and pairwise disjoint; any
   violation is a hard error naming the offending record.
-* ``predictions``: lenient ingestion for cleaner/model output. Overlapping
-  spans are resolved with :func:`declutter.textspan.filter_spans` and bounds
-  are not checked here (they are checked when joined with their text).
+* ``predictions``: lenient ingestion for cleaner/model output. The spans
+  are replaced by their union, :func:`declutter.textspan.filter_spans`, and
+  bounds are not checked here (they are checked when joined with their
+  text).
 
 :func:`iter_checked` is the one reader that checks records: it yields each
 record's input line and JSON object beside its checked fields, so ``clean``

@@ -483,7 +483,10 @@ def detect(text: str, config: DetectorConfig | None = None) -> list[Detection]:
 
 
 def to_rem_spans(detections: Iterable[Detection]) -> list[Span]:
-    """The finalized removal set of ``detections``: overlaps resolved by
-    :func:`filter_spans`, each kept span labeled with its category."""
+    """The finalized removal set of ``detections``: the union of their spans
+    by :func:`filter_spans`, each piece labeled with its category. Where two
+    detections overlap, the earlier start owns the shared characters; in
+    ``detect``'s order, an exact tie goes to the earlier category of the
+    registry."""
     return filter_spans(d.span for d in detections)
 

@@ -1,5 +1,5 @@
-"""Span algebra over character offsets: overlap filtering, tokenization, and
-clutter removal by string slicing.
+"""Span algebra over character offsets: the union of overlapping spans,
+tokenization, and clutter removal by string slicing.
 
 All offsets are Unicode scalar-value indices into the source string (i.e.
 plain Python string indices), and all spans are half-open ``[start, end)``.
@@ -51,23 +51,21 @@ class TokenMap:
 
 
 def filter_spans(spans: Iterable[Span]) -> list[Span]:
-    """Resolve overlapping spans greedily: longest first, earlier start on ties.
+    """The union of ``spans`` as a finalized set: sorted, pairwise disjoint.
 
-    A candidate is kept iff it overlaps no already-kept span; kept spans are
-    returned sorted by start. Duplicates and overlaps in the input are fine.
-    The result always satisfies the finalized-set invariant (sorted, pairwise
-    disjoint) and the operation is idempotent.
+    A stable sort by start, the longer first on equal starts, then one sweep:
+    each span keeps its part past the coverage so far, under its own label,
+    and a span with nothing left goes. So the earlier start owns an overlap,
+    an exact tie keeps input order, and the operation is idempotent.
     """
-    candidates = sorted(spans, key=lambda s: (-(s.end - s.start), s.start))
     kept: list[Span] = []
-    kept_starts: list[int] = []
-    for span in candidates:
-        # Kept spans are disjoint and sorted, so the one starting last before
-        # span.end also ends last: it is the only one that can overlap.
-        i = bisect_left(kept_starts, span.end)
-        if i == 0 or kept[i - 1].end <= span.start:
-            kept.insert(i, span)
-            kept_starts.insert(i, span.start)
+    covered = 0
+    for span in sorted(spans, key=lambda s: (s.start, -s.end)):
+        if span.end > covered:
+            if span.start < covered:
+                span = Span(covered, span.end, span.label)
+            kept.append(span)
+            covered = span.end
     return kept
 
 

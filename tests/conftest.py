@@ -3,6 +3,8 @@ import pathlib
 
 import pytest
 
+from declutter.textspan import Span
+
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 # The two extents the rule packs write out in full, one copy per rule that
@@ -23,6 +25,29 @@ HOLDER = (
     r"|(?:by[ \t]+)?the[ \t]+authors?|(?:19|20)[0-9]{2}|&)|,){0,10}"
     r"(?:\.?[ \t]+|\.?$))?"
 )
+
+
+def union_oracle(candidates):
+    """The union of ``candidates``, replayed one character at a time: each
+    character goes to the first span that covers it, in order of start, the
+    longer first on equal starts, then input order; each run of characters
+    that one span owns is a kept span under that span's label."""
+    order = sorted(
+        range(len(candidates)),
+        key=lambda i: (candidates[i].start, -candidates[i].end, i),
+    )
+    owner = {}
+    for i in order:
+        for pos in range(candidates[i].start, candidates[i].end):
+            owner.setdefault(pos, i)
+    runs = []  # [start, end, owner]
+    for pos in sorted(owner):
+        if runs and runs[-1][1] == pos and runs[-1][2] == owner[pos]:
+            runs[-1][1] = pos + 1
+        else:
+            runs.append([pos, pos + 1, owner[pos]])
+    return [Span(start, end, candidates[i].label) for start, end, i in runs]
+
 
 # One golden record per clutter category: (record id, clutter substring that
 # must disappear, category, carrier substring that must survive).

@@ -135,7 +135,7 @@ def test_predictions_schema_filters_overlaps(write_jsonl):
         ]
     )
     records = load_corpus(path, schema="predictions")
-    assert records[0].spans == (Span(3, 10),)
+    assert records[0].spans == (Span(0, 5), Span(5, 10))
 
 
 def test_predictions_schema_defers_bounds(write_jsonl):

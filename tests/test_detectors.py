@@ -83,6 +83,7 @@ BUILTIN_TRIGGERS = {
     "bracket_refs": ("[",),
     "arxiv_id": ("arXiv",),
     "doi_ref": ("10.",),
+    "doi_ref_paren": ("10.",),
     "journal_vol_pages": ("(",),
     "vol_pages": ("ol",),
 }
@@ -102,7 +103,7 @@ BUILTIN_SEARCHES = {
     "copyright_sign": None, "copyright_c_paren": None, "heading_lead": None,
     "jel_codes": None, "index_terms": None, "pacs_codes": None, "msc_codes": None,
     "translated_from": None, "paren_figtab": None, "bracket_refs": None,
-    "ctgov_nct_paren": None,
+    "ctgov_nct_paren": None, "doi_ref_paren": None,
     # The first top-level literal comes after a class, an anchor or an
     # optional part.
     "copyright_word": ("factor", 1), "all_rights_reserved": ("factor", 1),
@@ -1109,12 +1110,23 @@ class TestToRemSpans:
     def test_empty(self):
         assert to_rem_spans([]) == []
 
-    def test_overlap_resolved_longest_first(self):
+    def test_overlap_resolved_to_the_union(self):
         from declutter.detectors import Detection
 
         a = Detection(Span(0, 10, "copyright"), "r1")
         b = Detection(Span(5, 12, "funding"), "r2")
-        assert to_rem_spans([a, b]) == [Span(0, 10, "copyright")]
+        assert to_rem_spans([a, b]) == [
+            Span(0, 10, "copyright"),
+            Span(10, 12, "funding"),
+        ]
+
+    def test_exact_tie_goes_to_the_earlier_category(self, tmp_path):
+        """detect orders equal spans by the registry, not by pack order, so
+        the earlier category keeps the label."""
+        rules = [("registration", "ISRCTN[0-9]{8}"), ("copyright", "ISRCTN[0-9]{8}")]
+        config = DetectorConfig(rules_dir=write_rules(tmp_path, rules))
+        detections = detect("See ISRCTN12345678.", config)
+        assert to_rem_spans(detections) == [Span(4, 18, "copyright")]
 
     def test_touching_kept_with_their_categories(self):
         from declutter.detectors import Detection

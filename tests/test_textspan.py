@@ -18,34 +18,11 @@ from declutter.textspan import (
     tokens_under,
 )
 
+from conftest import union_oracle
+
 
 def spans(*pairs):
     return [Span(a, b) for a, b in pairs]
-
-
-def greedy_oracle(candidates):
-    """Independent replay of the greedy rule using per-position sets."""
-    ordered = sorted(candidates, key=lambda s: (-(s.end - s.start), s.start))
-    taken = set()
-    kept = []
-    for span in ordered:
-        positions = set(range(span.start, span.end))
-        if not positions & taken:
-            kept.append(span)
-            taken |= positions
-    return sorted(kept, key=lambda s: s.start)
-
-
-def pairwise_filter(candidates):
-    """The O(n * kept) filter_spans that the bisect version replaced: each
-    candidate, longest first, is checked against every kept span."""
-    ordered = sorted(candidates, key=lambda s: (-(s.end - s.start), s.start))
-    kept = []
-    for span in ordered:
-        if not any(span.start < k.end and k.start < span.end for k in kept):
-            kept.append(span)
-    kept.sort(key=lambda s: s.start)
-    return kept
 
 
 def nested_loop_tokens_under(span_set, token_map):
@@ -73,7 +50,12 @@ class TestFilterSpans:
         assert filter_spans([]) == []
 
     def test_longer_span_wins(self):
-        assert filter_spans(spans((0, 5), (3, 10))) == spans((3, 10))
+        """On equal starts the longer span comes first and owns every
+        character of the shorter."""
+        assert filter_spans([Span(3, 5, "A"), Span(3, 10, "B")]) == [Span(3, 10, "B")]
+
+    def test_overlap_keeps_the_union(self):
+        assert filter_spans(spans((0, 5), (3, 10))) == spans((0, 5), (5, 10))
 
     def test_touching_spans_both_kept(self):
         assert filter_spans(spans((0, 4), (4, 8))) == spans((0, 4), (4, 8))
@@ -81,8 +63,16 @@ class TestFilterSpans:
     def test_duplicates_collapse(self):
         assert filter_spans(spans((2, 6), (2, 6))) == spans((2, 6))
 
+    def test_exact_tie_keeps_input_order(self):
+        assert filter_spans([Span(2, 6, "B"), Span(2, 6, "A")]) == [Span(2, 6, "B")]
+
     def test_equal_length_earlier_start_wins(self):
-        assert filter_spans(spans((3, 6), (1, 4))) == spans((1, 4))
+        """The earlier start owns the shared characters; the later span
+        keeps the rest under its own label."""
+        assert filter_spans([Span(3, 6, "A"), Span(1, 4, "B")]) == [
+            Span(1, 4, "B"),
+            Span(4, 6, "A"),
+        ]
 
     def test_matches_oracle_on_random_inputs(self):
         rng = random.Random(7)
@@ -92,15 +82,17 @@ class TestFilterSpans:
                 for start in (rng.randint(0, 30) for _ in range(rng.randint(0, 6)))
             ]
             got = filter_spans(candidates)
-            assert got == greedy_oracle(candidates)
+            assert got == union_oracle(candidates)
             assert filter_spans(got) == got  # idempotent
 
-    def test_matches_pairwise_version_on_random_inputs(self):
+    def test_matches_union_oracle_on_labelled_random_inputs(self):
         rng = random.Random(17)
         for _ in range(2000):
             limit, max_len = rng.randint(1, 200), rng.choice((3, 15, 60))
             candidates = random_span_set(rng, limit, max_len)
-            assert filter_spans(candidates) == pairwise_filter(candidates)
+            got = filter_spans(candidates)
+            assert got == union_oracle(candidates)
+            assert filter_spans(got) == got
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
